@@ -61,6 +61,44 @@ class Rng {
     return v[index(v.size())];
   }
 
+  /// Draw min(k, m) distinct indices from [0, m), passing each to `pick` in
+  /// draw order. Makes the same draws and picks as a partial Fisher-Yates
+  /// over an identity array of size m (step i swaps position i with a
+  /// uniform j in [i, m) and picks what lands at i), but in O(k): only the
+  /// positions a swap displaced are stored, in `moved`, an open-addressing
+  /// table of (position + 1) << 32 | value cells (0 = empty) at most half
+  /// full. The caller owns `moved` so repeated draws allocate nothing.
+  template <typename Pick>
+  void sample_indices(std::size_t m, std::size_t k, std::vector<std::uint64_t>& moved,
+                      Pick&& pick) {
+    FOCUS_DCHECK_LT(m, std::size_t{1} << 32);
+    const std::size_t n = std::min(k, m);
+    std::size_t cells = 4;
+    while (cells < 2 * n) cells *= 2;
+    moved.assign(cells, 0);
+    const std::size_t mask = cells - 1;
+    auto cell_of = [&moved, mask](std::size_t pos) -> std::uint64_t& {
+      const std::uint64_t tag = static_cast<std::uint64_t>(pos + 1) << 32;
+      std::size_t c = ((pos * 0x9E3779B97F4A7C15ull) >> 40) & mask;
+      while (moved[c] != 0 && (moved[c] >> 32 << 32) != tag) c = (c + 1) & mask;
+      return moved[c];
+    };
+    auto value_at = [](std::uint64_t cell, std::size_t pos) {
+      return cell != 0 ? static_cast<std::uint32_t>(cell) : static_cast<std::uint32_t>(pos);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j =
+          i + static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(m - i) - 1));
+      // swap(a[i], a[j]) then pick a[i]: position i is never read again, so
+      // only a[j] is written back.
+      const std::uint32_t vi = value_at(cell_of(i), i);
+      std::uint64_t& cj = cell_of(j);
+      const std::uint32_t vj = value_at(cj, j);
+      cj = (static_cast<std::uint64_t>(j + 1) << 32) | vi;
+      pick(vj);
+    }
+  }
+
   /// Shuffle a vector in place.
   template <typename T>
   void shuffle(std::vector<T>& v) {

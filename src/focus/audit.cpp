@@ -377,9 +377,10 @@ AuditReport audit_cache(const QueryCache& cache, SimTime now) {
 AuditReport audit_simulator(const sim::Simulator& simulator) {
   AuditReport report;
   Checker check(report);
-  // next_event_time() is exact since the slab kernel (cancel removes queue
-  // entries eagerly, so no lazily-tombstoned past entry can hide behind the
-  // minimum): this monotonicity check now covers every queued event.
+  // next_event_time() is exact: cancelled entries are discarded as soon as
+  // they reach the heap root, so the root is always a live event and no
+  // dead past entry can hide behind the minimum — this monotonicity check
+  // covers every queued event.
   check.expect(simulator.next_event_time() >= simulator.now(), "simulator",
                [&](std::ostream& os) {
                  os << "event queue holds an entry at "

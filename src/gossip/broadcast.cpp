@@ -6,10 +6,46 @@
 
 namespace focus::gossip {
 
+std::size_t EventBuffer::seen_probe(EventId id) const noexcept {
+  const std::size_t mask = seen_cells_.size() - 1;
+  // splitmix64-style finalizer over (origin, seq): per-origin seqs are
+  // consecutive, so the low bits alone would cluster.
+  std::uint64_t x = (static_cast<std::uint64_t>(id.origin.value) << 40) ^ id.seq;
+  x ^= x >> 31;
+  x *= 0x9E3779B97F4A7C15ull;
+  x ^= x >> 29;
+  std::size_t i = static_cast<std::size_t>(x) & mask;
+  while (seen_cells_[i].used != 0 &&
+         (seen_cells_[i].seq != id.seq ||
+          seen_cells_[i].origin != id.origin.value)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+FOCUS_HOT bool EventBuffer::seen_insert(EventId id) {
+  if ((seen_count_ + 1) * 4 > seen_cells_.size() * 3) {
+    // Grow (starting at 8 cells) and re-insert; probe runs stay short
+    // below 3/4 load.
+    std::vector<SeenCell> old = std::move(seen_cells_);
+    seen_cells_.assign(old.empty() ? 8 : old.size() * 2, SeenCell{});
+    for (const SeenCell& c : old) {
+      if (c.used != 0) {
+        seen_cells_[seen_probe(EventId{NodeId{c.origin}, c.seq})] = c;
+      }
+    }
+  }
+  SeenCell& cell = seen_cells_[seen_probe(id)];
+  if (cell.used != 0) return false;
+  cell = SeenCell{id.seq, id.origin.value, 1};
+  ++seen_count_;
+  return true;
+}
+
 FOCUS_HOT bool EventBuffer::add(std::shared_ptr<const EventCore> core,
                                 int retransmit_rounds) {
   FOCUS_DCHECK(core != nullptr) << "EventBuffer::add null core";
-  if (!seen_.insert(core->id).second) return false;
+  if (!seen_insert(core->id)) return false;
   if (retransmit_rounds > 0) {
     pending_.push_back(Entry{std::move(core), retransmit_rounds});
   }

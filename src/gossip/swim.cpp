@@ -547,19 +547,13 @@ FOCUS_HOT std::span<const net::Address> GroupAgent::sample_alive(
   sample_scratch_.clear();
   const auto& alive = members_.alive_slots();
   if (alive.empty() || k == 0) return {};
-  // Partial Fisher-Yates over reused index scratch: no per-call vectors.
-  const std::size_t n = std::min(k, alive.size());
-  sample_idx_.resize(alive.size());
-  for (std::uint32_t i = 0; i < sample_idx_.size(); ++i) sample_idx_[i] = i;
-  sample_scratch_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng_.uniform_int(
-                0, static_cast<std::int64_t>(sample_idx_.size() - i) - 1));
-    std::swap(sample_idx_[i], sample_idx_[j]);
-    sample_scratch_.push_back(members_.addr(alive[sample_idx_[i]]));
-  }
-  return {sample_scratch_.data(), n};
+  // Sparse partial Fisher-Yates: O(k) per sample whatever the group size,
+  // with the same rng draws as a shuffle of the whole alive view.
+  sample_scratch_.reserve(std::min(k, alive.size()));
+  rng_.sample_indices(alive.size(), k, sample_moved_, [this, &alive](std::uint32_t i) {
+    sample_scratch_.push_back(members_.addr(alive[i]));
+  });
+  return {sample_scratch_.data(), sample_scratch_.size()};
 }
 
 }  // namespace focus::gossip

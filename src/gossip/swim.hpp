@@ -191,9 +191,10 @@ class GroupAgent {
   std::uint64_t member_epoch_ = 0;
   std::unordered_map<NodeId, SyncCursor> sync_sent_;
 
-  // Reused scratch: random-target samples and per-round event batches.
+  // Reused scratch: random-target samples (and the O(fanout) table of
+  // positions their sparse shuffle displaced) and per-round event batches.
   std::vector<net::Address> sample_scratch_;
-  std::vector<std::uint32_t> sample_idx_;
+  std::vector<std::uint64_t> sample_moved_;
   std::vector<std::shared_ptr<const EventCore>> round_scratch_;
 
   struct OutstandingPing {

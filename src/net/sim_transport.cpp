@@ -26,25 +26,38 @@ SimTransport::SimTransport(sim::Simulator& simulator, Topology& topology, Rng rn
     : simulator_(simulator), topology_(topology), rng_(std::move(rng)) {}
 
 void SimTransport::bind(const Address& addr, Handler handler) {
-  handlers_[addr] = std::make_shared<const Handler>(std::move(handler));
+  auto ptr = std::make_shared<const Handler>(std::move(handler));
+  Endpoint& e = stats_.endpoints().get(addr.node);
+  for (Endpoint::Port& p : e.ports) {
+    if (p.port == addr.port) {
+      p.handler = std::move(ptr);
+      return;
+    }
+  }
+  e.ports.push_back(Endpoint::Port{addr.port, std::move(ptr)});
 }
 
-void SimTransport::unbind(const Address& addr) { handlers_.erase(addr); }
+void SimTransport::unbind(const Address& addr) {
+  Endpoint* e = stats_.endpoints().find(addr.node);
+  if (e == nullptr) return;
+  std::erase_if(e->ports,
+                [&addr](const Endpoint::Port& p) { return p.port == addr.port; });
+}
 
 void SimTransport::set_node_down(NodeId node, bool down) {
   if (down) {
-    down_.insert(node);
-  } else {
-    down_.erase(node);
+    stats_.endpoints().get(node).down = true;
+  } else if (Endpoint* e = stats_.endpoints().find(node)) {
+    e->down = false;
   }
 }
 
-void SimTransport::send(Message msg) {
-  if (down_.count(msg.from.node) > 0) {
+FOCUS_HOT void SimTransport::send(Message msg) {
+  Endpoint& src = stats_.endpoints().get(msg.from.node);
+  if (src.down) {
     return;  // a dead node transmits nothing
   }
-  const std::size_t bytes = msg.wire_bytes();
-  stats_.record_send(msg.kind, msg.payload, bytes);
+  const std::size_t bytes = stats_.record_send(msg);
   // Loopback (same-node) messages never touch the NIC: deliver almost
   // immediately, charge no bandwidth, and skip datagram loss. This matters
   // for colocated deployments (e.g. a broker on the controller host).
@@ -52,7 +65,7 @@ void SimTransport::send(Message msg) {
     deliver_at(kLoopbackDelay, std::move(msg), /*rx_bytes=*/0);
     return;
   }
-  stats_.record_tx(msg.from.node, bytes);
+  src.traffic.add_tx(bytes);
   if (stager_ != nullptr) {
     const std::size_t dest_shard = topology_.shard_of(msg.to.node);
     if (dest_shard != shard_index_) {
@@ -80,7 +93,9 @@ void SimTransport::send(Message msg) {
       return;
     }
   }
-  if (down_.count(msg.to.node) > 0 || (loss_rate_ > 0 && rng_.chance(loss_rate_))) {
+  const Endpoint* dst = stats_.endpoints().find(msg.to.node);
+  if ((dst != nullptr && dst->down) ||
+      (loss_rate_ > 0 && rng_.chance(loss_rate_))) {
     stats_.count_dropped();
     trace_drop(msg, simulator_.now());
     return;
@@ -123,15 +138,22 @@ void SimTransport::schedule_delivery(SimTime at, Message msg,
     FOCUS_DCHECK_EQ(m.wire_bytes(), sent_bytes)
         << "payload mutated between send and delivery: " << to_string(m.kind);
     // Receiver may have died or unbound while the message was in flight; rx
-    // is charged only on actual delivery to a handler.
-    const auto it = handlers_.find(m.to);
-    if (down_.count(m.to.node) > 0 || it == handlers_.end()) {
+    // is charged only on actual delivery to a handler. One probe finds the
+    // down flag, the handler and the counters.
+    Endpoint* dst = stats_.endpoints().find(m.to.node);
+    const Endpoint::HandlerPtr* bound =
+        dst == nullptr || dst->down ? nullptr : dst->handler(m.to.port);
+    if (bound == nullptr) {
       stats_.count_dropped();
       trace_drop(m, simulator_.now());
       return;
     }
-    if (rx_bytes > 0) stats_.record_rx(m.to.node, rx_bytes);
+    if (rx_bytes > 0) dst->traffic.add_rx(rx_bytes);
     stats_.count_delivered();
+    // Pin the handler (it may unbind/rebind itself while running, and a
+    // bind may move the endpoint records) with a refcount bump instead of
+    // copying the std::function.
+    const Endpoint::HandlerPtr handler = *bound;
     // Traced hop: one span per network traversal, named after the message
     // kind, from send to delivery on the receiving node.
     obs::Tracer& tr = obs::tracer();
@@ -142,9 +164,6 @@ void SimTransport::schedule_delivery(SimTime at, Message msg,
                         m.to.node, sent_at);
       tr.end_span(hop, simulator_.now());
     }
-    // Pin the handler (it may unbind/rebind itself while running) with a
-    // refcount bump instead of copying the std::function.
-    const HandlerPtr handler = it->second;
     (*handler)(m);
   });
 }

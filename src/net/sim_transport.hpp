@@ -3,9 +3,6 @@
 // with WAN latencies from the Topology and full bandwidth accounting.
 
 #include <cstddef>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "net/shard_stage.hpp"
@@ -31,7 +28,10 @@ class SimTransport final : public Transport {
 
   /// Mark a node down (messages to/from it vanish) or back up.
   void set_node_down(NodeId node, bool down);
-  bool is_node_down(NodeId node) const { return down_.count(node) > 0; }
+  bool is_node_down(NodeId node) const {
+    const Endpoint* e = stats_.endpoints().find(node);
+    return e != nullptr && e->down;
+  }
 
   /// Probability in [0,1) that any message is silently lost. Default 0.
   void set_loss_rate(double p) { loss_rate_ = p; }
@@ -64,11 +64,6 @@ class SimTransport final : public Transport {
   void accept_staged(StagedMessage staged);
 
  private:
-  /// Handlers are held behind shared_ptr so a delivery can pin the callable
-  /// with a refcount bump instead of deep-copying a std::function, while a
-  /// handler that unbinds/rebinds itself mid-call stays alive to finish.
-  using HandlerPtr = std::shared_ptr<const Handler>;
-
   /// Single delivery path shared by the loopback and remote branches of
   /// send(): schedules the handler lookup, down/unbound drop accounting, and
   /// dispatch `delay` microseconds from now. `rx_bytes` is charged to the
@@ -86,9 +81,9 @@ class SimTransport final : public Transport {
   sim::Simulator& simulator_;
   Topology& topology_;
   Rng rng_;
-  std::unordered_map<Address, HandlerPtr> handlers_;
-  std::unordered_set<NodeId> down_;
   double loss_rate_ = 0;
+  /// Traffic counters plus the endpoint records (bound handlers, down
+  /// flags) that send and delivery probe once per endpoint.
   NetStats stats_;
   /// Sharded mode (enable_sharding): the shard this transport serves and
   /// the staging buffers for cross-shard sends. Null stager = legacy

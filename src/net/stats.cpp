@@ -1,18 +1,8 @@
 #include "net/stats.hpp"
 
+#include "common/check.hpp"
+
 namespace focus::net {
-
-void NetStats::record_tx(NodeId from, std::size_t bytes) {
-  auto& tx = per_node_[from];
-  tx.bytes_tx += bytes;
-  tx.msgs_tx += 1;
-}
-
-void NetStats::record_rx(NodeId to, std::size_t bytes) {
-  auto& rx = per_node_[to];
-  rx.bytes_rx += bytes;
-  rx.msgs_rx += 1;
-}
 
 void NetStats::record_send(MsgKind kind,
                            const std::shared_ptr<const Payload>& payload,
@@ -28,6 +18,16 @@ void NetStats::record_send(MsgKind kind,
   }
   last_payload_ = payload;
   last_kind_value_ = kind.value();
+  last_wire_bytes_ = wire_bytes;
+}
+
+FOCUS_HOT std::size_t NetStats::record_send(const Message& msg) {
+  const bool same_payload = msg.payload != nullptr && msg.payload == last_payload_;
+  const std::size_t bytes = same_payload ? last_wire_bytes_ : msg.wire_bytes();
+  FOCUS_DCHECK_EQ(bytes, msg.wire_bytes())
+      << "payload mutated within a fanout burst: " << msg.kind.name();
+  record_send(msg.kind, msg.payload, bytes);
+  return bytes;
 }
 
 void NetStats::end_burst() {
@@ -41,19 +41,18 @@ MsgKindStats NetStats::of_kind(MsgKind kind) const {
 }
 
 EndpointStats NetStats::of(NodeId node) const {
-  auto it = per_node_.find(node);
-  return it == per_node_.end() ? EndpointStats{} : it->second;
+  const Endpoint* e = endpoints_.find(node);
+  return e == nullptr ? EndpointStats{} : e->traffic;
 }
 
 EndpointStats NetStats::total() const {
   EndpointStats sum;
-  // focus-lint: order-independent(netstats-total-sum)
-  for (const auto& [node, stats] : per_node_) sum += stats;
+  endpoints_.for_each([&sum](const Endpoint& e) { sum += e.traffic; });
   return sum;
 }
 
 void NetStats::reset() {
-  per_node_.clear();
+  endpoints_.for_each([](Endpoint& e) { e.traffic = EndpointStats{}; });
   per_kind_.clear();
   end_burst();
   delivered_ = 0;

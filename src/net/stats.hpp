@@ -5,39 +5,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
+#include "net/endpoints.hpp"
+#include "net/message.hpp"
 #include "net/msg_kind.hpp"
 
 namespace focus::net {
-
-struct Payload;
-
-/// Byte/message counters for one node (all ports combined).
-struct EndpointStats {
-  std::uint64_t bytes_tx = 0;
-  std::uint64_t bytes_rx = 0;
-  std::uint64_t msgs_tx = 0;
-  std::uint64_t msgs_rx = 0;
-
-  /// Total bytes in either direction.
-  std::uint64_t bytes_total() const noexcept { return bytes_tx + bytes_rx; }
-
-  EndpointStats& operator+=(const EndpointStats& o) {
-    bytes_tx += o.bytes_tx;
-    bytes_rx += o.bytes_rx;
-    msgs_tx += o.msgs_tx;
-    msgs_rx += o.msgs_rx;
-    return *this;
-  }
-  /// Counter delta (for windowed rate measurements).
-  EndpointStats operator-(const EndpointStats& o) const {
-    return EndpointStats{bytes_tx - o.bytes_tx, bytes_rx - o.bytes_rx,
-                         msgs_tx - o.msgs_tx, msgs_rx - o.msgs_rx};
-  }
-};
 
 /// Message and payload-allocation counters for one message kind. The
 /// payload_builds column makes the shared-fanout-payload optimization
@@ -50,12 +25,13 @@ struct MsgKindStats {
 };
 
 /// Traffic counters for every node that sent or received a message.
+///
+/// The per-node counters live in the transport's endpoint records (see
+/// EndpointTable), next to the node's handlers and down flag, so one probe
+/// per endpoint serves both delivery and accounting; the transport charges
+/// them through endpoints().
 class NetStats {
  public:
-  /// Charge transmission (at send time; the sender pays even when the
-  /// message is later dropped).
-  void record_tx(NodeId from, std::size_t bytes);
-
   /// Per-kind send accounting. Counts the message and its wire bytes always;
   /// counts a payload build when `payload` is non-null and (kind, address)
   /// differs from the immediately preceding send — so consecutive sends
@@ -66,6 +42,12 @@ class NetStats {
   /// "same payload, still the same burst".
   void record_send(MsgKind kind, const std::shared_ptr<const Payload>& payload,
                    std::size_t wire_bytes);
+
+  /// record_send for a whole message; returns its wire bytes. Consecutive
+  /// sends of one payload object (a fanout burst) reuse the size computed
+  /// for the first: payloads are immutable after send, and the pinned dedup
+  /// key guarantees it is the same object.
+  std::size_t record_send(const Message& msg);
 
   /// Explicit burst boundary: forget the last-seen payload so the next send
   /// is charged a build even if it reuses the same object. Also releases the
@@ -86,9 +68,6 @@ class NetStats {
     }
   }
 
-  /// Charge reception (at delivery to a bound handler).
-  void record_rx(NodeId to, std::size_t bytes);
-
   /// Count one delivered message.
   void count_delivered() { ++delivered_; }
 
@@ -106,17 +85,22 @@ class NetStats {
   /// Messages dropped (destination down / unbound).
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Zero all counters.
+  /// Zero all counters. Endpoint handlers and down flags are kept.
   void reset();
 
+  /// The per-node endpoint records (handlers, down flags, counters).
+  EndpointTable& endpoints() noexcept { return endpoints_; }
+  const EndpointTable& endpoints() const noexcept { return endpoints_; }
+
  private:
-  std::unordered_map<NodeId, EndpointStats> per_node_;
+  EndpointTable endpoints_;
   std::vector<MsgKindStats> per_kind_;  // indexed by MsgKind::value()
   // Consecutive-send dedup for builds. Held as a shared_ptr (not a raw
   // address) so the dedup key's address cannot be recycled by the allocator
   // while it is still being compared against.
   std::shared_ptr<const Payload> last_payload_;
   std::uint16_t last_kind_value_ = 0;
+  std::size_t last_wire_bytes_ = 0;  ///< wire bytes of the last send
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
 };

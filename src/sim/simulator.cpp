@@ -28,7 +28,7 @@ std::uint32_t Simulator::alloc_slot() {
     slot = free_.back();
     free_.pop_back();
   } else {
-    FOCUS_CHECK_LT(slab_size_, kNil) << "event slab exhausted";
+    FOCUS_CHECK_LT(slab_size_, kMaxSlots) << "event slab exhausted";
     slot = slab_size_++;
     if ((slot & (kChunkSize - 1)) == 0) {
       chunks_.push_back(std::make_unique<Event[]>(kChunkSize));
@@ -38,90 +38,30 @@ std::uint32_t Simulator::alloc_slot() {
   SlotState& st = states_[slot];
   ++st.gen;  // fresh slots go 0 -> 1, so generation 0 is never issued
   FOCUS_CHECK_NE(st.gen, 0u) << "slot generation wrapped";
-  return slot;  // becomes live when bucket_append links it
+  return slot;  // becomes live when push() queues it
 }
 
-void Simulator::release_slot(std::uint32_t slot) {
-  record(slot).task.reset();
-  states_[slot].bucket = kNil;
+void Simulator::free_slot(std::uint32_t slot) {
+  states_[slot].phase = SlotPhase::kFree;
   free_.push_back(slot);
 }
 
 // ---------------------------------------------------------------------------
-// Bucket FIFO chains. All events scheduled for one instant share a bucket;
-// the chain order is creation order, which is exactly the (time, seq)
-// execution order the pre-slab kernel used, so digests are unchanged.
+// 4-ary min-heap over (time, enqueue seq). Every schedule and every periodic
+// re-arm draws a fresh seq, so events sharing an instant pop in the order
+// they were enqueued — the order every pinned digest records (DESIGN.md
+// "Kernel internals"). Sifts use the hole technique so each displaced entry
+// moves exactly once.
 
-void Simulator::bucket_append(std::uint32_t b, std::uint32_t slot) {
-  Bucket& bk = buckets_[b];
-  SlotState& st = states_[slot];
-  st.bucket = b;
-  st.prev = bk.tail;
-  st.next = kNil;
-  if (bk.tail != kNil) {
-    states_[bk.tail].next = slot;
-  } else {
-    bk.head = slot;
-  }
-  bk.tail = slot;
+FOCUS_HOT std::uint64_t Simulator::next_key(std::uint32_t slot) {
+  FOCUS_CHECK_LE(next_seq_, kMaxSeq) << "enqueue sequence exhausted";
+  return (next_seq_++ << kSlotBits) | slot;
 }
 
-void Simulator::bucket_unlink(std::uint32_t b, std::uint32_t slot) {
-  Bucket& bk = buckets_[b];
-  const SlotState& st = states_[slot];
-  if (st.prev != kNil) {
-    states_[st.prev].next = st.next;
-  } else {
-    bk.head = st.next;
-  }
-  if (st.next != kNil) {
-    states_[st.next].prev = st.prev;
-  } else {
-    bk.tail = st.prev;
-  }
-}
-
-std::uint32_t Simulator::bucket_for(SimTime t) {
-  const std::uint32_t found = index_find(t);
-  if (found != kNil) return found;
-  std::uint32_t b;
-  if (!bucket_free_.empty()) {
-    b = bucket_free_.back();
-    bucket_free_.pop_back();
-  } else {
-    FOCUS_CHECK_LT(buckets_.size(), static_cast<std::size_t>(kNil))
-        << "bucket slab exhausted";
-    b = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.emplace_back();
-  }
-  Bucket& bk = buckets_[b];
-  bk.time = t;
-  bk.head = kNil;
-  bk.tail = kNil;
-  heap_push(t, b);
-  index_insert(t, b);
-  return b;
-}
-
-void Simulator::retire_bucket(std::uint32_t b) {
-  FOCUS_DCHECK_EQ(buckets_[b].head, kNil);
-  heap_remove(buckets_[b].heap_pos);
-  index_erase(buckets_[b].time);
-  bucket_free_.push_back(b);
-}
-
-// ---------------------------------------------------------------------------
-// 4-ary indexed min-heap over buckets (distinct timestamps). Each bucket
-// stores its own heap position, so removing an emptied bucket jumps straight
-// to its entry instead of leaving a tombstone. The ordering key is embedded
-// in the heap entries, so the sift loops compare against contiguous memory;
-// buckets are only *written* (heap_pos) when an entry actually moves, using
-// the hole technique so each displaced entry moves exactly once.
-
-void Simulator::heap_push(SimTime time, std::uint32_t bucket) {
-  heap_.push_back(HeapEntry{time, bucket});
-  buckets_[bucket].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
+FOCUS_HOT void Simulator::push(SimTime time, std::uint32_t slot) {
+  heap_.push_back(HeapEntry{time, next_key(slot)});
   sift_up(heap_.size() - 1);
+  states_[slot].phase = SlotPhase::kQueued;
 }
 
 void Simulator::sift_up(std::size_t pos) {
@@ -130,11 +70,9 @@ void Simulator::sift_up(std::size_t pos) {
     const std::size_t parent = (pos - 1) / 4;
     if (!before(entry, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    buckets_[heap_[pos].bucket].heap_pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = entry;
-  buckets_[entry.bucket].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
 void Simulator::sift_down(std::size_t pos) {
@@ -151,107 +89,42 @@ void Simulator::sift_down(std::size_t pos) {
     }
     if (!before(heap_[best], entry)) break;
     heap_[pos] = heap_[best];
-    buckets_[heap_[pos].bucket].heap_pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
   heap_[pos] = entry;
-  buckets_[entry.bucket].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Simulator::heap_remove(std::size_t pos) {
-  FOCUS_DCHECK_LT(pos, heap_.size());
-  const std::size_t last = heap_.size() - 1;
-  if (pos == last) {
-    heap_.pop_back();
-    return;
-  }
-  const HeapEntry moved = heap_[last];
-  heap_[pos] = moved;
-  buckets_[moved.bucket].heap_pos = static_cast<std::uint32_t>(pos);
+FOCUS_HOT void Simulator::pop_root() {
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  // The displaced entry may belong above or below its new position.
-  sift_down(pos);
-  sift_up(buckets_[moved.bucket].heap_pos);
+  if (heap_.empty()) return;
+  heap_[0] = last;
+  sift_down(0);
 }
 
-// ---------------------------------------------------------------------------
-// Time index: open addressing with linear probing. Deletion backward-shifts
-// the probe run instead of leaving tombstones, so lookups stay short-lived
-// and the table's layout is a pure function of the insert/erase history —
-// deterministic across runs.
-
-std::uint64_t Simulator::hash_time(SimTime t) noexcept {
-  // splitmix64-style finalizer: full avalanche so microsecond-adjacent
-  // timestamps spread over the table.
-  auto x = static_cast<std::uint64_t>(t);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-void Simulator::index_grow() {
-  const std::size_t new_size = index_.empty() ? 16 : index_.size() * 2;
-  std::vector<IndexCell> old = std::move(index_);
-  index_.assign(new_size, IndexCell{0, kNil});
-  const std::size_t mask = new_size - 1;
-  for (const IndexCell& cell : old) {
-    if (cell.bucket == kNil) continue;
-    std::size_t i = hash_time(cell.time) & mask;
-    while (index_[i].bucket != kNil) i = (i + 1) & mask;
-    index_[i] = cell;
+void Simulator::drop_dead_roots() {
+  while (!heap_.empty() && states_[slot_of(heap_[0])].phase == SlotPhase::kDead) {
+    free_slot(slot_of(heap_[0]));
+    --dead_;
+    pop_root();
   }
 }
 
-void Simulator::index_insert(SimTime t, std::uint32_t bucket) {
-  // Keep load factor under 3/4 so probe runs stay short.
-  if ((index_count_ + 1) * 4 > index_.size() * 3) index_grow();
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_time(t) & mask;
-  while (index_[i].bucket != kNil) i = (i + 1) & mask;
-  index_[i] = IndexCell{t, bucket};
-  ++index_count_;
-}
-
-void Simulator::index_erase(SimTime t) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_time(t) & mask;
-  // The entry exists (callers erase only indexed times) and probe runs are
-  // compact (no tombstones), so this terminates at the entry.
-  while (index_[i].bucket == kNil || index_[i].time != t) i = (i + 1) & mask;
-  // Backward-shift: repeatedly pull the next entry of the probe run that is
-  // allowed to live at the hole (its home slot is not cyclically inside
-  // (hole, candidate]) until the run ends.
-  for (;;) {
-    index_[i].bucket = kNil;
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (index_[j].bucket == kNil) {
-        --index_count_;
-        return;
-      }
-      const std::size_t home = hash_time(index_[j].time) & mask;
-      const bool movable =
-          (i <= j) ? (home <= i || home > j) : (home <= i && home > j);
-      if (movable) break;
+void Simulator::compact() {
+  std::size_t kept = 0;
+  for (const HeapEntry& entry : heap_) {
+    if (states_[slot_of(entry)].phase == SlotPhase::kDead) {
+      free_slot(slot_of(entry));
+    } else {
+      heap_[kept++] = entry;
     }
-    index_[i] = index_[j];
-    i = j;
   }
-}
-
-std::uint32_t Simulator::index_find(SimTime t) const noexcept {
-  if (index_count_ == 0) return kNil;
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_time(t) & mask;
-  while (index_[i].bucket != kNil) {
-    if (index_[i].time == t) return index_[i].bucket;
-    i = (i + 1) & mask;
+  heap_.resize(kept);
+  dead_ = 0;
+  // Floyd heapify: sift every internal node down, deepest first.
+  for (std::size_t pos = kept / 4 + 1; pos-- > 0;) {
+    if (pos < kept) sift_down(pos);
   }
-  return kNil;
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +136,7 @@ FOCUS_HOT TimerId Simulator::schedule_at(SimTime t, Task task) {
   ev.task = std::move(task);
   ev.digest_id = next_digest_id_++;
   ev.period = 0;
-  bucket_append(bucket_for(std::max(t, now_)), slot);
+  push(std::max(t, now_), slot);
   ++live_;
   return make_id(slot, states_[slot].gen);
 }
@@ -283,8 +156,7 @@ FOCUS_HOT TimerId Simulator::every(Duration interval, Task task,
   ev.task = std::move(task);
   ev.digest_id = next_digest_id_++;
   ev.period = interval;
-  bucket_append(
-      bucket_for(now_ + (first_delay >= 0 ? first_delay : interval)), slot);
+  push(now_ + (first_delay >= 0 ? first_delay : interval), slot);
   ++live_;
   return make_id(slot, states_[slot].gen);
 }
@@ -295,19 +167,23 @@ FOCUS_HOT void Simulator::cancel(TimerId id) {
   if (gen == 0) return;  // 0 / small sentinel values: never an issued id
   FOCUS_CHECK_LT(slot, slab_size_)
       << "cancel of a TimerId this simulator never issued";
-  const SlotState st = states_[slot];
+  SlotState& st = states_[slot];
   FOCUS_CHECK_LE(gen, st.gen)
       << "cancel of a TimerId from a future generation (corrupt or foreign id)";
-  if (gen != st.gen || st.bucket == kNil) return;  // fired/cancelled/recycled
-  const std::uint32_t b = st.bucket;
-  bucket_unlink(b, slot);
-  release_slot(slot);
+  // Fired, firing, cancelled or recycled: a stale no-op.
+  if (gen != st.gen || st.phase != SlotPhase::kQueued) return;
+  // Lazy cancel: the entry stays queued, marked dead, and the callable (and
+  // whatever it captured) is released now. A self-cancelling periodic has
+  // moved its callable out to run it, so this resets an empty record.
+  st.phase = SlotPhase::kDead;
   --live_;
-  // Retire the instant eagerly when its last event is cancelled — no
-  // tombstones, and next_event_time() stays exact. A bucket some enclosing
-  // step() frame is executing out of is left in place (still indexed, at
-  // time == now()); that frame retires it once its task returns.
-  if (buckets_[b].head == kNil && !bucket_executing(b)) retire_bucket(b);
+  ++dead_;
+  record(slot).task.reset();
+  if (slot_of(heap_[0]) == slot) {
+    drop_dead_roots();  // keep the root live: next_event_time() stays exact
+  } else if (dead_ > live_ && dead_ >= kCompactFloor) {
+    compact();
+  }
 }
 
 void Simulator::mix_digest(SimTime time, std::uint64_t digest_id) noexcept {
@@ -319,85 +195,46 @@ void Simulator::mix_digest(SimTime time, std::uint64_t digest_id) noexcept {
 FOCUS_HOT bool Simulator::step() {
   if (heap_.empty()) return false;
   const SimTime time = heap_[0].time;
-  const std::uint32_t b = heap_[0].bucket;
-  const std::uint32_t slot = buckets_[b].head;
+  const std::uint32_t slot = slot_of(heap_[0]);
   FOCUS_DCHECK_GE(time, now_) << "event queue lost time ordering";
   now_ = time;
   Event& ev = record(slot);  // address-stable across everything below
   mix_digest(time, ev.digest_id);
   ++executed_;
-  {
-    // Pop the front of the instant's FIFO chain.
-    Bucket& bk = buckets_[b];
-    const std::uint32_t next = states_[slot].next;
-    bk.head = next;
-    if (next != kNil) {
-      states_[next].prev = kNil;
-    } else {
-      bk.tail = kNil;
-    }
-  }
   if (ev.period > 0) {
-    // Re-arm before running so the task may cancel itself. Appending to the
-    // target bucket's tail reproduces the old fresh-sequence tie-break: the
-    // re-armed event runs after anything already scheduled for that instant.
-    const SimTime rearm = time + ev.period;
-    bool retired_early = false;
-    if (buckets_[b].head == kNil && index_find(rearm) == kNil) {
-      // The instant emptied and the target instant is new: re-key this
-      // bucket in place — no allocation, no heap push/remove, and the root
-      // entry's time only grows, so one sift_down restores order. This is
-      // the steady state of an isolated periodic (every gossip round timer).
-      index_erase(time);
-      Bucket& bk = buckets_[b];
-      bk.time = rearm;
-      heap_[bk.heap_pos].time = rearm;
-      sift_down(bk.heap_pos);
-      index_insert(rearm, b);
-      bucket_append(b, slot);
-    } else {
-      bucket_append(bucket_for(rearm), slot);
-      if (buckets_[b].head == kNil) {
-        retire_bucket(b);  // nothing references the old instant any more
-        retired_early = true;
-      }
-    }
-    // Run the callable from a local: the record may be freed if the task
-    // cancels itself, and a freed slot may even be recycled by a schedule
-    // from inside the task — the callable must not be destroyed or
-    // overwritten mid-execution. The move is cheap (SBO relocate), with no
-    // refcount traffic.
+    // Re-arm before running, under a fresh seq, so the task may cancel
+    // itself and anything it schedules for the re-arm instant runs after the
+    // re-armed event. The root's key only grows, so it is replaced in place
+    // and sifted down: no pop, no push.
+    heap_[0] = HeapEntry{time + ev.period, next_key(slot)};
+    sift_down(0);
+    if (dead_ != 0) drop_dead_roots();
+    // Run the callable from a local: the task may cancel itself, and a
+    // compaction inside it may then free and recycle the slot — the
+    // callable must not be destroyed or overwritten mid-execution. The move
+    // is cheap (SBO relocate), with no refcount traffic.
     const std::uint32_t gen = states_[slot].gen;
     UniqueTask task = std::move(ev.task);
-    if (!retired_early) executing_buckets_.push_back(b);
     task();
-    if (!retired_early) {
-      executing_buckets_.pop_back();
-      if (buckets_[b].head == kNil) retire_bucket(b);
-    }
     // Re-read the slot state (by index: the states_ vector may have grown):
-    // move the callable back only if the record was neither retired
-    // (self-cancel) nor its slot recycled (generation moved on).
+    // move the callable back only if the event is still queued under the
+    // same generation (not cancelled, not recycled).
     const SlotState after = states_[slot];
-    if (after.bucket != kNil && after.gen == gen) {
+    if (after.phase == SlotPhase::kQueued && after.gen == gen) {
       ev.task = std::move(task);
     }
   } else {
-    // One-shot: mark the slot dead first, mirroring the pre-slab kernel
-    // (the map entry was erased before invocation) so a task cancelling its
-    // own id is a stale no-op. The slot is NOT freed until the callable
-    // returns — record addresses are stable and the slot cannot be recycled
-    // mid-execution, so the callable fires in place: one fused
-    // invoke+destroy indirect call, no move out. The bucket is guarded for
-    // the duration of the call so a reentrant cancel that empties it leaves
-    // retirement to this frame.
-    states_[slot].bucket = kNil;
+    // One-shot: leave the queue first, so a task cancelling its own id is a
+    // stale no-op. The slot is NOT freed until the callable returns — record
+    // addresses are stable and the slot cannot be recycled mid-execution, so
+    // the callable fires in place: one fused invoke+destroy indirect call,
+    // no move out.
+    pop_root();
+    if (dead_ != 0) drop_dead_roots();
+    states_[slot].phase = SlotPhase::kFiring;
     --live_;
-    executing_buckets_.push_back(b);
     ev.task.consume();
-    executing_buckets_.pop_back();
-    free_.push_back(slot);  // release; the callable is already destroyed
-    if (buckets_[b].head == kNil) retire_bucket(b);
+    free_slot(slot);  // the callable is already destroyed
   }
   return true;
 }
@@ -408,7 +245,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime t) {
-  // No tombstones to skip: the heap root is always the earliest live instant.
+  // The heap root is always live, so its time is the next execution time.
   while (!heap_.empty() && heap_[0].time <= t) {
     step();
   }
@@ -417,45 +254,53 @@ void Simulator::run_until(SimTime t) {
 
 bool Simulator::queue_consistent() const {
   if (slab_size_ != states_.size()) return false;
-  // Slot accounting: live + free covers the slab, and the live count below
-  // must also equal the sum of all bucket chain lengths.
-  std::size_t live = 0;
-  for (const SlotState& st : states_) {
-    if (st.bucket != kNil) ++live;
-  }
-  if (live != live_) return false;
-  if (live + free_.size() != slab_size_) return false;
-  // Active buckets + recycled buckets cover the bucket slab, and the index
-  // maps exactly the active instants.
-  if (heap_.size() + bucket_free_.size() != buckets_.size()) return false;
-  if (index_count_ != heap_.size()) return false;
-  std::size_t chained = 0;
+  // Every queued or dead slot owns exactly one heap entry, and every heap
+  // entry names such a slot.
+  std::vector<bool> has_entry(states_.size(), false);
   for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
     const HeapEntry& entry = heap_[pos];
-    if (entry.bucket >= buckets_.size()) return false;
-    const Bucket& bk = buckets_[entry.bucket];
-    if (bk.heap_pos != pos) return false;
-    if (bk.time != entry.time) return false;
-    if (index_find(entry.time) != entry.bucket) return false;
-    // 4-ary heap property; bucket times are unique so order is strict.
+    const std::uint32_t slot = slot_of(entry);
+    if (slot >= states_.size() || has_entry[slot]) return false;
+    has_entry[slot] = true;
+    const SlotPhase phase = states_[slot].phase;
+    if (phase != SlotPhase::kQueued && phase != SlotPhase::kDead) return false;
+    // 4-ary heap property; keys are unique so the order is strict.
     if (pos > 0 && !before(heap_[(pos - 1) / 4], entry)) return false;
-    // An empty bucket may only exist while a step() frame executes from it.
-    if (bk.head == kNil && !bucket_executing(entry.bucket)) return false;
-    // Walk the FIFO chain: doubly linked, every member owned by this bucket.
-    std::uint32_t prev = kNil;
-    for (std::uint32_t slot = bk.head; slot != kNil;
-         slot = states_[slot].next) {
-      if (slot >= states_.size()) return false;
-      const SlotState& st = states_[slot];
-      if (st.bucket != entry.bucket) return false;
-      if (st.prev != prev) return false;
-      prev = slot;
-      ++chained;
-      if (chained > live) return false;  // cycle guard
-    }
-    if (bk.tail != prev) return false;
   }
-  return chained == live;
+  // Live and dead counts match the slot phases; free slots are exactly the
+  // free list.
+  std::size_t live = 0, dead = 0, free = 0;
+  for (std::size_t slot = 0; slot < states_.size(); ++slot) {
+    switch (states_[slot].phase) {
+      case SlotPhase::kQueued:
+        ++live;
+        break;
+      case SlotPhase::kDead:
+        ++dead;
+        break;
+      case SlotPhase::kFree:
+        ++free;
+        break;
+      case SlotPhase::kFiring:
+        break;
+    }
+    const bool queued = states_[slot].phase == SlotPhase::kQueued ||
+                        states_[slot].phase == SlotPhase::kDead;
+    if (queued != has_entry[slot]) return false;
+  }
+  if (live != live_ || dead != dead_) return false;
+  if (free != free_.size()) return false;
+  for (const std::uint32_t slot : free_) {
+    if (slot >= states_.size() || states_[slot].phase != SlotPhase::kFree) {
+      return false;
+    }
+  }
+  // The root is live (next_event_time() is exact) and not in the past.
+  if (!heap_.empty()) {
+    if (states_[slot_of(heap_[0])].phase != SlotPhase::kQueued) return false;
+    if (heap_[0].time < now_) return false;
+  }
+  return true;
 }
 
 }  // namespace focus::sim

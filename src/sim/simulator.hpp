@@ -6,17 +6,17 @@
 //
 // Internals (see DESIGN.md "Kernel internals"): events live in a slab of
 // address-stable recycled records addressed by generation-tagged TimerIds.
-// Events that share an instant — the common case in a synchronized
-// distributed system (gossip rounds, report intervals, fixed retry offsets)
-// — are chained into a FIFO bucket per distinct timestamp, and only the
-// buckets are ordered, by a 4-ary indexed min-heap: scheduling into an
-// existing instant and draining a burst are O(1) per event, heap work
-// amortizes over distinct times instead of events. cancel() unlinks the
-// event immediately — no tombstones — so the execute path never consults a
-// lookup table and next_event_time() is exact. Callables are move-only
-// small-buffer-optimized UniqueTasks: scheduling does not heap-allocate for
-// ordinary closures, one-shots fire in place with a single fused
-// invoke+destroy call, and periodic re-arms involve no refcount churn.
+// Pending events are ordered by one flat 4-ary min-heap of 16-byte
+// (time, enqueue seq | slot) entries. A fresh seq is drawn on every
+// schedule and on every periodic re-arm, so same-instant events run in the
+// order they were enqueued. cancel() is lazy: the slot is marked dead and
+// its callable destroyed at once, and the entry is discarded when it
+// surfaces; the heap root is always live, so next_event_time() is exact, and
+// the heap is rebuilt whenever dead entries outnumber live ones. Callables
+// are move-only small-buffer-optimized UniqueTasks: scheduling does not
+// heap-allocate for ordinary closures, one-shots fire in place with a
+// single fused invoke+destroy call, and periodic re-arms involve no
+// refcount churn.
 
 #include <cstdint>
 #include <memory>
@@ -96,11 +96,17 @@ class Simulator {
   /// Total events executed so far (for kernel benchmarks).
   std::uint64_t executed() const noexcept { return executed_; }
 
+  /// Queue entries held, dead (cancelled, not yet discarded) ones included.
+  /// Never more than twice pending() plus a small constant: the queue is
+  /// compacted whenever dead entries outnumber live ones.
+  std::size_t queued_entries() const noexcept { return heap_.size(); }
+
   /// Time of the earliest pending event, or now() when the queue is empty.
-  /// Exact: cancellation removes events (and emptied time buckets) eagerly,
-  /// so this is the precise instant the kernel will execute next, and
-  /// `next_event_time() >= now()` certifies the whole queue is in the
-  /// future — the monotonicity invariant the audit layer verifies.
+  /// Exact: dead entries are discarded as soon as they reach the heap root,
+  /// so the root is always a live event — the precise instant the kernel
+  /// will execute next — and `next_event_time() >= now()` certifies the
+  /// whole queue is in the future, the monotonicity invariant the audit
+  /// layer verifies.
   SimTime next_event_time() const {
     return heap_.empty() ? now_ : heap_[0].time;
   }
@@ -113,16 +119,14 @@ class Simulator {
   /// pre-slab kernel and independent of slot recycling.
   std::uint64_t digest() const noexcept { return digest_; }
 
-  /// Structural self-check for the audit layer: bucket FIFO chains are
-  /// doubly linked and sum to the live-event count, every bucket sits in
-  /// the heap exactly once at its recorded position and is findable through
-  /// the time index, the 4-ary heap property holds, and slot bookkeeping is
-  /// consistent. O(pending).
+  /// Structural self-check for the audit layer: the 4-ary heap order holds
+  /// over (time, seq), every queued or dead slot has exactly one heap entry
+  /// and every heap entry names one, the live and dead counts match the
+  /// slot states, the free list holds exactly the free slots, and the heap
+  /// root is live and not in the past. O(pending + slab).
   bool queue_consistent() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   /// A slab record: the callable plus the cold per-event payload, touched
   /// once at schedule time and once at fire time. digest_id and period lead
   /// the layout so the fire path reads them and the task header from the
@@ -133,40 +137,42 @@ class Simulator {
     UniqueTask task;
   };
 
-  /// Scheduling-hot bookkeeping, parallel to the slab: the slot's
-  /// allocation generation plus its position in a bucket's FIFO chain.
-  /// A slot is live iff `bucket != kNil`.
+  /// Lifecycle of a slab slot.
+  enum class SlotPhase : std::uint8_t {
+    kFree,    ///< on the free list
+    kQueued,  ///< live, with one heap entry
+    kDead,    ///< cancelled; its heap entry is discarded when it surfaces
+    kFiring,  ///< a one-shot whose callable is running; no heap entry
+  };
+
+  /// Scheduling-hot bookkeeping, parallel to the slab.
   struct SlotState {
-    std::uint32_t gen = 0;     ///< bumped on allocation; matches live ids
-    std::uint32_t bucket = kNil;
-    std::uint32_t prev = kNil;  ///< FIFO neighbours within the bucket
-    std::uint32_t next = kNil;
+    std::uint32_t gen = 0;  ///< bumped on allocation; matches live ids
+    SlotPhase phase = SlotPhase::kFree;
   };
 
-  /// One distinct pending timestamp: a FIFO chain of the events scheduled
-  /// for that instant (appending preserves creation order, which is exactly
-  /// the old (time, seq) tie-break) plus its position in the bucket heap.
-  struct Bucket {
-    SimTime time = 0;
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    std::uint32_t heap_pos = kNil;
-  };
-
-  /// One heap element. Bucket times are unique, so time alone is a total
-  /// order — no tie-break field, and 16-byte entries keep the sift loops'
-  /// comparisons inside at most two cache lines per node.
+  /// One heap element: the event's time plus `seq << kSlotBits | slot`.
+  /// Seqs are unique, so (time, key) is a strict total order equal to
+  /// (time, seq), and the slot rides along without widening the entry.
   struct HeapEntry {
     SimTime time;
-    std::uint32_t bucket;
+    std::uint64_t key;
   };
 
-  /// One open-addressing index cell mapping a pending timestamp to its
-  /// bucket; `bucket == kNil` marks an empty cell.
-  struct IndexCell {
-    SimTime time;
-    std::uint32_t bucket;
-  };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << 40) - 1;
+  /// Dead entries below this count are never worth a rebuild.
+  static constexpr std::size_t kCompactFloor = 64;
+
+  static std::uint32_t slot_of(const HeapEntry& e) noexcept {
+    return static_cast<std::uint32_t>(e.key & (kMaxSlots - 1));
+  }
+
+  /// Heap order: earlier time first, then earlier enqueue seq.
+  static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
+    return a.time < b.time || (a.time == b.time && a.key < b.key);
+  }
 
   /// Records live in fixed-size chunks so their addresses never change:
   /// a firing task may grow the slab (scheduling from inside a task is the
@@ -178,9 +184,6 @@ class Simulator {
   Event& record(std::uint32_t slot) noexcept {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
-  const Event& record(std::uint32_t slot) const noexcept {
-    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
-  }
 
   static TimerId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<TimerId>(gen) << 32) | slot;
@@ -189,49 +192,28 @@ class Simulator {
   /// Take a slot from the free list (or grow the slab).
   std::uint32_t alloc_slot();
 
-  /// Destroy a dead slot's callable and return it to the free list.
-  void release_slot(std::uint32_t slot);
+  /// Return a slot whose callable is already destroyed to the free list.
+  void free_slot(std::uint32_t slot);
 
-  /// Find the bucket for time `t`, creating (and heap-inserting) it if the
-  /// instant has no pending events yet.
-  std::uint32_t bucket_for(SimTime t);
+  /// Queue `slot` at `time` under a freshly drawn seq.
+  void push(SimTime time, std::uint32_t slot);
 
-  /// Append `slot` to the tail of bucket `b`'s FIFO chain.
-  void bucket_append(std::uint32_t b, std::uint32_t slot);
+  /// Remove the root entry.
+  void pop_root();
 
-  /// Unlink `slot` from bucket `b`'s FIFO chain (any position).
-  void bucket_unlink(std::uint32_t b, std::uint32_t slot);
+  /// Discard dead entries from the root until it is live (or the heap is
+  /// empty), freeing their slots.
+  void drop_dead_roots();
 
-  /// Remove a (now empty) bucket from the heap and the time index and
-  /// recycle it. Must not be called on a bucket an enclosing step() is
-  /// still executing from (see executing_buckets_).
-  void retire_bucket(std::uint32_t b);
+  /// Drop every dead entry and re-heapify. Keys are unique, so the pop
+  /// order of the live entries is unchanged.
+  void compact();
 
-  /// True when an enclosing step() frame is executing out of bucket `b`.
-  bool bucket_executing(std::uint32_t b) const noexcept {
-    for (const std::uint32_t e : executing_buckets_) {
-      if (e == b) return true;
-    }
-    return false;
-  }
+  /// Draw the next enqueue seq, shifted into key position.
+  std::uint64_t next_key(std::uint32_t slot);
 
-  /// Heap order: earliest time wins (bucket times are unique).
-  static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    return a.time < b.time;
-  }
-
-  void heap_push(SimTime time, std::uint32_t bucket);
-  void heap_remove(std::size_t pos);
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-
-  // Open-addressing time index (linear probing, backward-shift deletion, so
-  // lookups never scan tombstones and behaviour is deterministic).
-  static std::uint64_t hash_time(SimTime t) noexcept;
-  void index_grow();
-  void index_insert(SimTime t, std::uint32_t bucket);
-  void index_erase(SimTime t);
-  std::uint32_t index_find(SimTime t) const noexcept;
 
   /// Fold one executed event into the run digest.
   void mix_digest(SimTime time, std::uint64_t digest_id) noexcept;
@@ -239,21 +221,15 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t digest_ = 14695981039346656037ull;  // FNV-1a offset basis
   std::uint64_t next_digest_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;         ///< scheduled, not yet fired or cancelled
+  std::size_t dead_ = 0;         ///< cancelled entries still in the heap
   std::uint32_t slab_size_ = 0;  ///< slots ever allocated (records + states)
   std::vector<std::unique_ptr<Event[]>> chunks_;  ///< address-stable records
   std::vector<SlotState> states_;    ///< parallel to the slab
   std::vector<std::uint32_t> free_;  ///< recycled slots (LIFO)
-  std::vector<Bucket> buckets_;      ///< bucket slab (index-stable)
-  std::vector<std::uint32_t> bucket_free_;  ///< recycled buckets (LIFO)
-  std::vector<HeapEntry> heap_;      ///< 4-ary min-heap of distinct times
-  std::vector<IndexCell> index_;     ///< time -> bucket, open addressing
-  std::size_t index_count_ = 0;      ///< occupied index cells
-  /// Buckets the (possibly nested) step() frames are currently executing
-  /// from: cancel() leaves these in place when they empty — the owning
-  /// frame retires them after its task returns. Depth is almost always 1.
-  std::vector<std::uint32_t> executing_buckets_;
+  std::vector<HeapEntry> heap_;      ///< 4-ary min-heap over (time, seq)
 };
 
 }  // namespace focus::sim

@@ -243,6 +243,32 @@ TEST(Rng, SampleLargerThanPopulationReturnsAll) {
   EXPECT_EQ(rng.sample(v, 10).size(), 3u);
 }
 
+// The sparse partial Fisher-Yates must make the same draws and the same
+// picks as the dense one over an identity index array, for every k up to a
+// full shuffle (where the displaced-position table sees the most probing).
+TEST(Rng, SampleIndicesMatchesDenseFisherYates) {
+  std::vector<std::uint64_t> moved;
+  for (const std::size_t m : {1u, 2u, 7u, 50u, 400u, 1000u}) {
+    for (const std::size_t k : {1u, 3u, 4u, 16u, 64u, 200u, 1000u}) {
+      Rng sparse_rng(m * 131 + k);
+      Rng dense_rng(m * 131 + k);
+      std::vector<std::uint32_t> got;
+      sparse_rng.sample_indices(m, k, moved, [&got](std::uint32_t i) { got.push_back(i); });
+      std::vector<std::uint32_t> idx(m);
+      for (std::uint32_t i = 0; i < m; ++i) idx[i] = i;
+      std::vector<std::uint32_t> want;
+      for (std::size_t i = 0; i < std::min(k, m); ++i) {
+        const auto j = i + static_cast<std::size_t>(
+                               dense_rng.uniform_int(0, static_cast<std::int64_t>(m - i) - 1));
+        std::swap(idx[i], idx[j]);
+        want.push_back(idx[i]);
+      }
+      EXPECT_EQ(got, want) << "m=" << m << " k=" << k;
+      EXPECT_EQ(sparse_rng.next_u64(), dense_rng.next_u64());  // same draw count
+    }
+  }
+}
+
 TEST(Rng, ExponentialHasRoughlyRightMean) {
   Rng rng(11);
   double sum = 0;

@@ -262,6 +262,31 @@ TEST(NetStats, ResetClearsDedupStateAndCounters) {
   EXPECT_EQ(stats.of_kind(kind).payload_builds, 1u);
 }
 
+// The endpoint table rehashes as a shard's transport touches more nodes;
+// records must survive every growth, keep first-touch order, and misses
+// must stay misses (testbed ids stride by small constants).
+TEST(EndpointTable, GrowsAndKeepsRecordsForStridedIds) {
+  EndpointTable table;
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    Endpoint& e = table.get(NodeId{i * 4});
+    e.traffic.add_tx(i);
+  }
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    const Endpoint* e = table.find(NodeId{i * 4});
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->node, NodeId{i * 4});
+    EXPECT_EQ(e->traffic.bytes_tx, i);
+    EXPECT_EQ(table.find(NodeId{i * 4 + 1}), nullptr);
+  }
+  EXPECT_EQ(&table.get(NodeId{8}), table.find(NodeId{8}));  // no duplicate record
+  std::uint32_t expect = 0;
+  table.for_each([&expect](const Endpoint& e) {
+    EXPECT_EQ(e.node, NodeId{expect});
+    expect += 4;
+  });
+  EXPECT_EQ(expect, 5000u * 4);
+}
+
 TEST(MsgKind, SpellingByValueRoundTrips) {
   const MsgKind kind = MsgKind::intern("spelling.roundtrip");
   EXPECT_EQ(kind_spelling(kind.value()), "spelling.roundtrip");
