@@ -1,15 +1,13 @@
 // Microbenchmarks of the sharded driver's coordination machinery: how often
-// the coordinator wakes shards under the global conservative window vs the
-// per-edge lookahead matrix, and what a barrier merge costs per staged
-// message. The fleet is bare kernels shaped like the SUB=2/EDGE=2 testbed
+// the coordinator wakes shards under the uniform lookahead matrix (lock-step
+// global windows) vs the per-edge matrix, and what a barrier merge costs per
+// staged message. The fleet is bare kernels shaped like the SUB=2/EDGE=2 testbed
 // (10 shards), so the `events_per_window` counters line up with the
 // barrier_rounds / shard_windows figures scenario_throughput records into
 // BENCH_core.json.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,7 +32,7 @@ net::Topology split_topology() {
 }
 
 /// Coordination-round frequency of a 10-kernel fleet with 1 ms periodic
-/// timers per shard. Arg names the window mode; the interesting output is
+/// timers per shard. Arg names the matrix; the interesting output is
 /// the counters: `events_per_window` is the parallel-window width the
 /// tentpole widens, `rounds_per_sim_sec` the coordinator wake rate.
 void shard_barrier_overhead(benchmark::State& state, bool per_edge) {
@@ -50,7 +48,10 @@ void shard_barrier_overhead(benchmark::State& state, bool per_edge) {
       per_edge ? std::make_unique<sim::ShardedSimulator>(
                      ptrs, topology.lookahead_matrix(), /*threads=*/1)
                : std::make_unique<sim::ShardedSimulator>(
-                     ptrs, topology.sharded_lookahead_floor(), /*threads=*/1);
+                     ptrs,
+                     sim::uniform_lookahead(topology.num_shards(),
+                                            topology.sharded_lookahead_floor()),
+                     /*threads=*/1, /*batch_factor=*/1.0);
   for (auto _ : state) {
     driver->run_for(100 * kMillisecond);
   }
@@ -105,14 +106,13 @@ void BM_ShardStagerMerge(benchmark::State& state) {
     transports[s]->bind({NodeId{static_cast<std::uint32_t>(s)}, 1},
                         [](const net::Message&) {});
   }
+  std::vector<SimTime> barriers(n);
   std::uint64_t staged_total = 0;
   for (auto _ : state) {
     // The kernels drift apart across iterations (each advances to its own
-    // last delivery), so the barrier must be the committed floor — the
-    // minimum kernel time — or a message staged off a lagging kernel would
-    // land below a faster kernel's now() and trip the lookahead-floor check.
-    SimTime barrier = std::numeric_limits<SimTime>::max();
-    for (const auto& sim : sims) barrier = std::min(barrier, sim->now());
+    // last delivery), so each destination merges against its own clock —
+    // the per-destination barrier the driver's committed_times() provides.
+    for (std::size_t s = 0; s < n; ++s) barriers[s] = sims[s]->now();
     for (int i = 0; i < 1024; ++i) {
       const auto src = static_cast<std::size_t>(i) % n;
       const auto dst = (src + 1 + static_cast<std::size_t>(i) / n) % n;
@@ -131,7 +131,7 @@ void BM_ShardStagerMerge(benchmark::State& state) {
       stager.stage(src, dst, std::move(staged));
       ++staged_total;
     }
-    stager.merge_at_barrier(barrier, targets);
+    stager.merge_at_barrier(barriers, targets);
     for (auto& sim : sims) sim->run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(staged_total));

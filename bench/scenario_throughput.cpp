@@ -40,7 +40,7 @@ struct Options {
   std::string trace;       // Chrome-trace output path ("" = tracing off)
   std::string metrics;     // metrics-snapshot output path ("" = none)
   double qps = 0;          // client query rate; 0 keeps the stock workload
-  unsigned shards = 0;     // 0 = legacy kernel; N >= 1 = region-sharded mode
+  unsigned shards = 0;     // 0 = one kernel; N >= 1 = region-sharded mode
   unsigned sub_shards = 1;       // sharded mode: kernels per data region
   unsigned edge_sub_shards = 1;  // sharded mode: kernels at the app edge
   bool per_edge_windows = false;  // sharded mode: per-edge lookahead matrix
@@ -151,12 +151,12 @@ int main(int argc, char** argv) {
                    "  [--sim-seconds T] [--out bench.json] [--micro gb.json]\n"
                    "  [--append existing.json] [--label name]\n"
                    "  [--trace trace.json] [--metrics metrics.json] [--qps Q]\n"
-                   "  [--shards N]  (0 = legacy single kernel; N >= 1 =\n"
-                   "   region-sharded mode with N worker threads)\n"
+                   "  [--shards N]  (0 = one kernel; N >= 1 = one kernel\n"
+                   "   per region, driven by N worker threads)\n"
                    "  [--sub-shards K] [--edge-sub-shards K]  (sharded mode:\n"
                    "   kernels per data region / at the app edge; default 1)\n"
                    "  [--per-edge-windows]  (sharded mode: per-edge lookahead\n"
-                   "   matrix instead of one global conservative window)\n"
+                   "   matrix instead of the uniform one)\n"
                    "  [--async-store]  (host the store on its own shard behind\n"
                    "   message-routed completions)\n"
                    "  [--record-ms N]  (sample metric time-series every N ms of\n"
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
   run["peak_rss_kb"] = static_cast<std::int64_t>(peak_rss_kb());
   run["bytes_per_node"] = bytes_per_node;
   run["digest"] = std::to_string(bed.digest());
-  // Recorded only in sharded mode so stock legacy entries keep their schema
+  // Recorded only in sharded mode so stock one-kernel entries keep their schema
   // (absent == 0; --compare matches baseline entries on this key).
   if (opt.shards > 0) run["shards"] = static_cast<std::int64_t>(opt.shards);
   // Sub-shard split recorded only when non-default (absent == 1), so the
@@ -261,10 +261,11 @@ int main(int argc, char** argv) {
   }
   // Window-mode knobs recorded only when set (same schema-stability rule);
   // --compare shape-matches on them, so a per-edge run never gates against a
-  // global-window baseline.
+  // uniform-matrix baseline.
   if (opt.per_edge_windows) run["per_edge_windows"] = true;
   if (opt.async_store) run["async_store"] = true;
-  if (const sim::ShardedSimulator* driver = bed.sharded(); driver != nullptr) {
+  if (opt.shards > 0) {
+    const sim::ShardedSimulator* driver = bed.sharded();
     // Deterministic coordination counts (sim-time quantities): how many
     // rounds the coordinator ran and how many windows each shard executed
     // over the whole bench (settle + measured run). The per-edge acceptance
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
     if (driver->wall_profiling()) {
       // Wall-clock stall breakdown (scheduler profile): per shard,
       // busy + stall + idle == wall exactly. The per-edge speedup story
-      // reads straight off stall_ms shrinking relative to the global-window
+      // reads straight off stall_ms shrinking relative to the uniform-matrix
       // run (EXPERIMENTS.md §speedup).
       Json busy = Json::array(), stall = Json::array(), idle = Json::array();
       for (std::size_t s = 0; s < driver->num_shards(); ++s) {
@@ -300,20 +301,18 @@ int main(int argc, char** argv) {
       run["shard_stall_ms"] = std::move(stall);
       run["shard_idle_ms"] = std::move(idle);
     }
-    if (driver->per_edge()) {
-      // Horizon-limiter attribution: row s counts, per incoming edge, how
-      // many of shard s's committed windows that edge bound (last column =
-      // bound by the run target, i.e. unconstrained).
-      Json limited = Json::array();
-      for (std::size_t s = 0; s < driver->num_shards(); ++s) {
-        Json row = Json::array();
-        for (std::size_t src = 0; src <= driver->num_shards(); ++src) {
-          row.push_back(static_cast<std::int64_t>(driver->limited_by(s, src)));
-        }
-        limited.push_back(std::move(row));
+    // Horizon-limiter attribution: row s counts, per incoming edge, how many
+    // of shard s's committed windows that edge bound (last column = bound by
+    // the run target, i.e. unconstrained).
+    Json limited = Json::array();
+    for (std::size_t s = 0; s < driver->num_shards(); ++s) {
+      Json row = Json::array();
+      for (std::size_t src = 0; src <= driver->num_shards(); ++src) {
+        row.push_back(static_cast<std::int64_t>(driver->limited_by(s, src)));
       }
-      run["limited_by"] = std::move(limited);
+      limited.push_back(std::move(row));
     }
+    run["limited_by"] = std::move(limited);
   }
   if (!opt.micro.empty()) run["micro"] = summarize_micro(opt.micro);
   // Non-default observability knobs are recorded only when used, so stock

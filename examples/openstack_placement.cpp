@@ -27,9 +27,9 @@ Result<std::vector<openstack::Candidate>> schedule_sync(
     out = std::move(r);
     done = true;
   });
-  const SimTime deadline = bed.simulator().now() + 10 * kSecond;
-  while (!done && bed.simulator().now() < deadline) {
-    bed.simulator().run_for(10 * kMillisecond);
+  const SimTime deadline = bed.now() + 10 * kSecond;
+  while (!done && bed.now() < deadline) {
+    bed.run_for(10 * kMillisecond);
   }
   return out;
 }

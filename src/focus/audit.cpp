@@ -519,13 +519,11 @@ AuditReport audit_gossip(const gossip::GroupAgent& agent, SimTime now) {
   return report;
 }
 
-AuditReport audit_service(const Service& service, const sim::Simulator& simulator) {
-  const SimTime now = simulator.now();
+AuditReport audit_service(const Service& service, SimTime now) {
   AuditReport report =
       audit_groups(service.dgm(), service.registrar(), service.config(), now);
   report.merge(audit_registrar(service.registrar()));
   report.merge(audit_cache(service.router().cache(), now));
-  report.merge(audit_simulator(simulator));
   return report;
 }
 

@@ -95,7 +95,9 @@ AuditReport audit_simulator(const sim::Simulator& simulator);
 /// cache coherence). `now` is the simulator clock.
 AuditReport audit_gossip(const gossip::GroupAgent& agent, SimTime now);
 
-/// Every structural audit over one service instance plus its kernel.
-AuditReport audit_service(const Service& service, const sim::Simulator& simulator);
+/// Every structural audit over one service instance at simulated time `now`
+/// (groups, registrar, cache). Kernels are audited separately
+/// (audit_simulator), one per shard.
+AuditReport audit_service(const Service& service, SimTime now);
 
 }  // namespace focus::core

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "common/check.hpp"
@@ -64,55 +65,53 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   Rng rng(config_.seed);
 
   // Placement before any shard lookup; place() never draws randomness, so
-  // hoisting it above the transport forks is digest-neutral for legacy mode.
+  // hoisting it above the transport forks is digest-neutral.
   topology_.place(kServerNode, Region::AppEdge);
   topology_.place(kAppNode, Region::AppEdge);
   topology_.place(kBrokerNode, Region::AppEdge);
   // The store node only exists on the async path; gating the placement keeps
-  // the legacy world literally unchanged.
+  // the in-kernel-store world literally unchanged.
   if (config_.async_store) topology_.place(kStoreNode, Region::AppEdge);
 
-  const bool sharded = config_.shards > 0;
-  if (sharded) {
-    // The sub-shard split is workload config: fix it before any shard index
-    // is computed so Topology::shard_of is stable for the world's lifetime.
+  // The shard layout is workload config: fix it before any shard index is
+  // computed so Topology::shard_of is stable for the world's lifetime.
+  if (config_.shards == 0) {
+    topology_.set_single_shard();
+  } else {
     for (std::size_t r = 0; r < kNumDataRegions; ++r) {
       topology_.set_sub_shards(static_cast<Region>(r), config_.data_sub_shards);
     }
     topology_.set_sub_shards(Region::AppEdge, config_.edge_sub_shards);
-    const std::size_t num_shards = topology_.num_shards();
-    const std::size_t service_shard = topology_.shard_of(kServerNode);
-    stager_ = std::make_unique<net::ShardStager>(num_shards);
-    // Kernels and transports in shard order; the service shard reuses
-    // simulator_ / transport_. Transports fork the seed rng in shard order —
-    // with no sub-shard splits that is the four data regions first and the
-    // app edge (= service shard) last, the exact PR7 fork layout, so the
-    // pinned sharded digests are untouched. Legacy mode performs only the
-    // transport_ fork, so its rng stream is untouched too.
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      sim::Simulator* sim = nullptr;
-      if (s == service_shard) {
-        sim = &simulator_;
-      } else {
-        owned_sims_.push_back(std::make_unique<sim::Simulator>());
-        sim = owned_sims_.back().get();
-      }
-      shard_sims_.push_back(sim);
-      auto transport =
-          std::make_unique<net::SimTransport>(*sim, topology_, rng.fork());
-      transport->set_loss_rate(config_.loss_rate);
-      transport->enable_sharding(s, stager_.get());
-      shard_transports_.push_back(transport.get());
-      if (s == service_shard) {
-        transport_ = std::move(transport);
-      } else {
-        owned_transports_.push_back(std::move(transport));
-      }
+  }
+  const std::size_t num_shards = topology_.num_shards();
+  const std::size_t service_shard = topology_.shard_of(kServerNode);
+  // Nothing can cross shards in a one-shard world: its transport stays out
+  // of sharded mode, so sends pay no shard_of lookup and nothing is staged.
+  if (num_shards > 1) stager_ = std::make_unique<net::ShardStager>(num_shards);
+  // Kernels and transports in shard order; the service shard reuses
+  // simulator_ / transport_. Transports fork the seed rng in shard order —
+  // with no sub-shard splits that is the four data regions first and the
+  // app edge (= service shard) last; the one-kernel layout forks exactly
+  // once. Both are the fork layouts the pinned digests were taken with.
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    sim::Simulator* sim = nullptr;
+    if (s == service_shard) {
+      sim = &simulator_;
+    } else {
+      owned_sims_.push_back(std::make_unique<sim::Simulator>());
+      sim = owned_sims_.back().get();
     }
-  } else {
-    transport_ =
-        std::make_unique<net::SimTransport>(simulator_, topology_, rng.fork());
-    transport_->set_loss_rate(config_.loss_rate);
+    shard_sims_.push_back(sim);
+    auto transport =
+        std::make_unique<net::SimTransport>(*sim, topology_, rng.fork());
+    transport->set_loss_rate(config_.loss_rate);
+    if (stager_) transport->enable_sharding(s, stager_.get());
+    shard_transports_.push_back(transport.get());
+    if (s == service_shard) {
+      transport_ = std::move(transport);
+    } else {
+      owned_transports_.push_back(std::move(transport));
+    }
   }
 
   // One rng fork feeds the cluster wherever it lives, so flipping
@@ -122,14 +121,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     // The cluster runs on the store node's own shard (an edge sub-shard when
     // the app edge is split); the service reaches it through the
     // message-routed frontend bound on a spare server port.
-    sim::Simulator& store_sim =
-        sharded ? *shard_sims_[topology_.shard_of(kStoreNode)] : simulator_;
-    net::SimTransport& store_tr =
-        sharded ? *shard_transports_[topology_.shard_of(kStoreNode)]
-                : *transport_;
     store_server_ = std::make_unique<store::StoreServer>(
-        store_sim, store_tr, net::Address{kStoreNode, 1}, config_.store,
-        store_seed);
+        simulator_for(kStoreNode), transport_for(kStoreNode),
+        net::Address{kStoreNode, 1}, config_.store, store_seed);
     store_frontend_ = std::make_unique<store::StoreFrontend>(
         *transport_, net::Address{kServerNode, 4}, store_server_->addr());
   } else {
@@ -142,13 +136,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
                                              core::ServerCostModel{},
                                              rng.fork().next_u64());
   // The app client lives on kAppNode's own shard (an edge sub-shard when the
-  // app edge is split); with no splits that is the service shard, the PR7
-  // layout.
-  sim::Simulator& client_sim =
-      sharded ? *shard_sims_[topology_.shard_of(kAppNode)] : simulator_;
-  net::SimTransport& client_tr =
-      sharded ? *shard_transports_[topology_.shard_of(kAppNode)] : *transport_;
-  client_ = std::make_unique<core::Client>(client_sim, client_tr,
+  // app edge is split); with no splits that is the service shard.
+  client_ = std::make_unique<core::Client>(simulator_for(kAppNode),
+                                           transport_for(kAppNode),
                                            net::Address{kAppNode, 10},
                                            service_->north_addr());
 
@@ -161,73 +151,62 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     const NodeId id{kAgentBase + static_cast<std::uint32_t>(i)};
     const Region region = region_of_index(i);
     topology_.place(id, region);
-    const std::size_t shard = sharded ? topology_.shard_of(id) : 0;
-    sim::Simulator& sim = sharded ? *shard_sims_[shard] : simulator_;
-    net::SimTransport& tr = sharded ? *shard_transports_[shard] : *transport_;
-    agents_.emplace_back(sim, tr, id, region, service_->south_addr(),
-                         config_.service.schema, agent_config_, rng.fork(),
-                         step_plan_);
+    agents_.emplace_back(simulator_for(id), transport_for(id), id, region,
+                         service_->south_addr(), config_.service.schema,
+                         agent_config_, rng.fork(), step_plan_);
   }
 
-  if (sharded) {
-    if (config_.per_edge_windows) {
-      // Per-edge horizons from the lookahead matrix: each shard advances as
-      // far as its own incoming edges allow, so a split region narrows only
-      // its own siblings' strides.
-      sharded_ = std::make_unique<sim::ShardedSimulator>(
-          shard_sims_, topology_.lookahead_matrix(), config_.shards);
-    } else {
-      // Window bound for the configured layout: the cross-region floor, or a
-      // split region's intra-region floor when that is tighter.
-      sharded_ = std::make_unique<sim::ShardedSimulator>(
-          shard_sims_, topology_.sharded_lookahead_floor(), config_.shards);
-    }
-    sharded_->set_barrier_hook([this](SimTime t) {
-      if (sharded_->per_edge()) {
-        // Shards sit at different committed times: each destination's merge
-        // barrier is its own horizon, not the fleet minimum.
-        stager_->merge_at_barrier(sharded_->committed_times(),
-                                  shard_transports_);
-      } else {
-        stager_->merge_at_barrier(t, shard_transports_);
-      }
-      if (next_audit_ > 0 && t >= next_audit_) {
-        ++audits_run_;
-        const core::AuditReport report = audit();
-        FOCUS_CHECK(report.ok())
-            << "periodic structural audit #" << audits_run_ << " at t=" << t
-            << "us\n"
-            << report.to_string();
-        next_audit_ = t + config_.audit_interval;
-      }
-      // Telemetry sampling rides the same barrier: workers are parked, so
-      // aggregated_metrics() is quiescent. Windows quantize the cadence —
-      // the recorder stores actual interval ends, so rates stay exact.
-      if (recorder_ && t >= recorder_->next_due()) sample_telemetry(t);
-    });
-    if (config_.wall_profiling) sharded_->set_wall_profiling(true);
+  // One scheduler for every layout; per_edge_windows only picks its matrix.
+  // Per-edge horizons let each shard advance as far as its own incoming
+  // edges allow; the uniform matrix at the layout's floor (the cross-region
+  // floor, or a split region's intra-region floor when that is tighter)
+  // with batch factor 1 steps every shard in lock-step global windows. A
+  // one-shard layout has no finite edge under either matrix.
+  if (config_.per_edge_windows) {
+    driver_ = std::make_unique<sim::ShardedSimulator>(
+        shard_sims_, topology_.lookahead_matrix(), config_.shards);
+  } else {
+    driver_ = std::make_unique<sim::ShardedSimulator>(
+        shard_sims_,
+        sim::uniform_lookahead(num_shards, topology_.sharded_lookahead_floor()),
+        config_.shards, /*batch_factor=*/1.0);
   }
-
-  if (config_.audit_interval > 0) {
-    if (sharded) {
-      next_audit_ = config_.audit_interval;
-    } else {
-      audit_timer_ = simulator_.every(config_.audit_interval, [this] {
-        ++audits_run_;
-        const core::AuditReport report = audit();
-        FOCUS_CHECK(report.ok()) << "periodic structural audit #" << audits_run_
-                                 << " at t=" << simulator_.now() << "us\n"
-                                 << report.to_string();
-      });
+  driver_->set_barrier_hook([this](SimTime t) {
+    // Shards may sit at different committed times: each destination's merge
+    // barrier is its own horizon, not the fleet minimum.
+    if (stager_) {
+      stager_->merge_at_barrier(driver_->committed_times(), shard_transports_);
     }
-  }
+    if (next_audit_ > 0 && t >= next_audit_) {
+      ++audits_run_;
+      const core::AuditReport report = audit();
+      FOCUS_CHECK(report.ok())
+          << "periodic structural audit #" << audits_run_ << " at t=" << t
+          << "us\n"
+          << report.to_string();
+      next_audit_ = t + config_.audit_interval;
+    }
+    // Telemetry sampling rides the same barrier: workers are parked, so
+    // aggregated_metrics() is quiescent. Rounds quantize the cadence on
+    // coupled layouts — the recorder stores actual interval ends, so rates
+    // stay exact.
+    if (recorder_ && t >= recorder_->next_due()) sample_telemetry(t);
+  });
+  // Stop points: the next audit and recorder due times.
+  driver_->set_stop_source([this] {
+    SimTime stop = std::numeric_limits<SimTime>::max();
+    if (next_audit_ > 0) stop = next_audit_;
+    if (recorder_) stop = std::min(stop, recorder_->next_due());
+    return stop;
+  });
+  if (config_.wall_profiling) driver_->set_wall_profiling(true);
+  next_audit_ = config_.audit_interval;
 }
 
 Testbed::~Testbed() {
-  if (audit_timer_ != 0) simulator_.cancel(audit_timer_);
-  // Stop agents before the transports/service go away. In sharded mode the
-  // workers are parked (no run is in flight), so touching shard state from
-  // this thread is ordered by the driver's last barrier.
+  // Stop agents before the transports/service go away. The workers are
+  // parked (no run is in flight), so touching shard state from this thread
+  // is ordered by the driver's last barrier.
   for (auto& agent : agents_) agent.stop();
   if (!trace_path_.empty()) write_trace(trace_path_);
   if (!timeseries_path_.empty()) write_timeseries(timeseries_path_);
@@ -242,45 +221,6 @@ Testbed::~Testbed() {
   }
 }
 
-void Testbed::run_for(Duration d) {
-  if (sharded_) {
-    // Sampling happens in the barrier hook (workers parked).
-    sharded_->run_for(d);
-    return;
-  }
-  if (!recorder_) {
-    simulator_.run_for(d);
-    return;
-  }
-  // Chunk the run at each recorder due time. run_until executes the same
-  // events in the same order no matter how the span is subdivided, so the
-  // chunking is digest-neutral (tests/test_telemetry.cpp pins this).
-  const SimTime target = simulator_.now() + d;
-  while (simulator_.now() < target) {
-    simulator_.run_until(std::min<SimTime>(target, recorder_->next_due()));
-    if (simulator_.now() >= recorder_->next_due()) {
-      sample_telemetry(simulator_.now());
-    }
-  }
-}
-
-SimTime Testbed::now() const noexcept {
-  return sharded_ ? sharded_->now() : simulator_.now();
-}
-
-std::uint64_t Testbed::digest() const noexcept {
-  return sharded_ ? sharded_->digest() : simulator_.digest();
-}
-
-std::uint64_t Testbed::executed() const noexcept {
-  return sharded_ ? sharded_->executed() : simulator_.executed();
-}
-
-net::SimTransport& Testbed::transport_for(NodeId node) {
-  if (!sharded_) return *transport_;
-  return *shard_transports_[topology_.shard_of(node)];
-}
-
 void Testbed::write_trace(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -291,8 +231,8 @@ void Testbed::write_trace(const std::string& path) const {
 }
 
 std::map<std::string, net::MsgKindStats> Testbed::traffic_totals() const {
-  // Sum the per-kind traffic tables over every transport (one in legacy
-  // mode, five in sharded mode); std::map keeps the kind order stable.
+  // Sum the per-kind traffic tables over every shard's transport; std::map
+  // keeps the kind order stable.
   std::map<std::string, net::MsgKindStats> totals;
   const auto fold = [&totals](const net::SimTransport& t) {
     t.stats().for_each_kind(
@@ -303,11 +243,7 @@ std::map<std::string, net::MsgKindStats> Testbed::traffic_totals() const {
           agg.bytes += s.bytes;
         });
   };
-  if (sharded_) {
-    for (const net::SimTransport* t : shard_transports_) fold(*t);
-  } else {
-    fold(*transport_);
-  }
+  for (const net::SimTransport* t : shard_transports_) fold(*t);
   return totals;
 }
 
@@ -326,27 +262,25 @@ obs::MetricSet Testbed::telemetry_snapshot() const {
     snap.add(obs::MetricId::counter(prefix + ".payload_builds"),
              static_cast<double>(s.payload_builds));
   }
-  if (sharded_) {
-    for (std::size_t i = 0; i < sharded_->num_shards(); ++i) {
-      const std::string prefix = "sharded.shard" + std::to_string(i);
-      snap.add(obs::MetricId::counter(prefix + ".windows"),
-               static_cast<double>(sharded_->shard_windows(i)));
-      snap.add(obs::MetricId::counter(prefix + ".window_width_us"),
-               static_cast<double>(sharded_->shard_window_width(i)));
-      snap.add(obs::MetricId::counter(prefix + ".events"),
-               static_cast<double>(sharded_->shard(i).executed()));
-      snap.set(obs::MetricId::gauge(prefix + ".committed_us"),
-               static_cast<double>(sharded_->committed_times()[i]));
-      if (sharded_->wall_profiling()) {
-        const sim::ShardedSimulator::ShardProfile& p =
-            sharded_->shard_profiles()[i];
-        snap.add(obs::MetricId::counter(prefix + ".busy_us"),
-                 static_cast<double>(p.busy_ns) / 1000.0);
-        snap.add(obs::MetricId::counter(prefix + ".stall_us"),
-                 static_cast<double>(p.stall_ns) / 1000.0);
-        snap.add(obs::MetricId::counter(prefix + ".idle_us"),
-                 static_cast<double>(p.idle_ns) / 1000.0);
-      }
+  for (std::size_t i = 0; i < driver_->num_shards(); ++i) {
+    const std::string prefix = "sharded.shard" + std::to_string(i);
+    snap.add(obs::MetricId::counter(prefix + ".windows"),
+             static_cast<double>(driver_->shard_windows(i)));
+    snap.add(obs::MetricId::counter(prefix + ".window_width_us"),
+             static_cast<double>(driver_->shard_window_width(i)));
+    snap.add(obs::MetricId::counter(prefix + ".events"),
+             static_cast<double>(driver_->shard(i).executed()));
+    snap.set(obs::MetricId::gauge(prefix + ".committed_us"),
+             static_cast<double>(driver_->committed_times()[i]));
+    if (driver_->wall_profiling()) {
+      const sim::ShardedSimulator::ShardProfile& p =
+          driver_->shard_profiles()[i];
+      snap.add(obs::MetricId::counter(prefix + ".busy_us"),
+               static_cast<double>(p.busy_ns) / 1000.0);
+      snap.add(obs::MetricId::counter(prefix + ".stall_us"),
+               static_cast<double>(p.stall_ns) / 1000.0);
+      snap.add(obs::MetricId::counter(prefix + ".idle_us"),
+               static_cast<double>(p.idle_ns) / 1000.0);
     }
   }
   return snap;

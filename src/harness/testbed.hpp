@@ -4,20 +4,23 @@
 // and an application client at the app edge. Shared by integration tests,
 // benches and examples.
 //
-// Two execution modes:
-//  - Legacy (shards == 0): one kernel, one transport — the historical
-//    single-threaded world whose event digests are pinned in tests/benches.
-//  - Sharded (shards >= 1): one kernel + transport per (region, sub-shard)
-//    pair — four data regions plus the app edge, each optionally split into
-//    K sub-shards (data_sub_shards / edge_sub_shards) — driven by
-//    sim::ShardedSimulator in conservative windows with cross-shard traffic
-//    staged through net::ShardStager. The shard layout is fixed by config
-//    and NodeId (Topology::shard_of); `shards` only sets the worker-thread
-//    count, so digests are byte-identical for any shards >= 1 (enforced by
-//    tests/test_sharded.cpp). Splitting the app edge spreads the service
-//    (node 0), broker (node 1) and app client (node 2) across edge
-//    sub-shards by the same consistent NodeId assignment, so the hottest
-//    shard no longer serializes the fleet.
+// One execution path: every world is a set of (region, sub-shard) kernels,
+// each with its own transport, driven by the conservative scheduler
+// sim::ShardedSimulator. Cross-shard traffic is staged through
+// net::ShardStager. The layout is fixed by config and NodeId
+// (Topology::shard_of):
+//  - shards == 0: one kernel for the whole world (Topology::set_single_shard)
+//    — the historical single-threaded world whose event digests are pinned
+//    in tests/benches. Nothing crosses a shard, so its transport sends
+//    straight into the kernel and nothing is staged.
+//  - shards >= 1: four data regions plus the app edge, each optionally split
+//    into K sub-shards (data_sub_shards / edge_sub_shards). `shards` only
+//    sets the worker-thread count, so digests are byte-identical for any
+//    shards >= 1 (enforced by tests/test_sharded.cpp). Splitting the app edge
+//    spreads the service (node 0), broker (node 1) and app client (node 2)
+//    across edge sub-shards by the same consistent NodeId assignment, so the
+//    hottest shard no longer serializes the fleet.
+// per_edge_windows only picks the lookahead matrix the driver runs on.
 
 #include <map>
 #include <memory>
@@ -62,30 +65,31 @@ struct TestbedConfig {
   store::ClusterConfig store;
   double loss_rate = 0;
 
-  /// 0 = legacy single-kernel mode. >= 1 = region-sharded mode with this
-  /// many worker threads (clamped to the shard count); 1 runs the same
-  /// windowed algorithm inline. Sharded digests differ from legacy ones
-  /// (different rng fork layout) but are identical across `shards` values.
+  /// 0 = the one-kernel layout (every node on shard 0, run inline). >= 1 =
+  /// the region layout with this many worker threads (clamped to the shard
+  /// count); 1 runs the same algorithm inline. Region-layout digests differ
+  /// from one-kernel ones (different rng fork layout) but are identical
+  /// across `shards` values.
   unsigned shards = 0;
 
-  /// Sharded mode only: split every data region / the app edge into this
+  /// Region layout only: split every data region / the app edge into this
   /// many sub-shards (kernels). Part of the workload config — changing a
   /// split legitimately changes digests, but the partition is a pure
   /// function of NodeId (Topology::shard_of), never of `shards`, so digests
-  /// stay byte-identical across worker counts. 1/1 reproduces the PR7
-  /// one-kernel-per-region layout bit for bit. Splitting a region shrinks
-  /// the conservative window to its intra-region lookahead floor.
+  /// stay byte-identical across worker counts. 1/1 is one kernel per region.
+  /// Splitting a region shrinks its lookahead to the intra-region floor.
   unsigned data_sub_shards = 1;
   unsigned edge_sub_shards = 1;
 
-  /// Sharded mode only: drive shards with the per-edge lookahead matrix
-  /// (Topology::lookahead_matrix) instead of one global conservative window.
-  /// Each shard advances to its own horizon — splitting one region no longer
-  /// narrows every other shard's window. Workload config like the sub-shard
-  /// splits: turning it on legitimately changes digests (shards interleave
-  /// same-instant events differently), but the round schedule is a pure
-  /// function of committed times and the matrix, so digests stay
-  /// byte-identical across `shards` worker counts. Ignored in legacy mode.
+  /// Region layout only: which lookahead matrix the driver runs on. false =
+  /// the uniform matrix (Topology::sharded_lookahead_floor() on every edge,
+  /// batch factor 1: every shard steps in lock-step global windows). true =
+  /// the per-edge matrix (Topology::lookahead_matrix): each shard advances
+  /// to its own horizon, so splitting one region no longer narrows every
+  /// other shard's window. Workload config like the sub-shard splits: the
+  /// two schedules interleave same-instant events differently, so their
+  /// digests differ (both are pinned), but each is byte-identical across
+  /// `shards` worker counts. No effect on the one-kernel layout.
   bool per_edge_windows = false;
 
   /// Host the store cluster on kStoreNode's own shard behind a message-routed
@@ -93,23 +97,25 @@ struct TestbedConfig {
   /// inside the service kernel. Store completions become async transport
   /// messages, so the service shard no longer serializes every replica round
   /// trip. Workload config: changes digests (new node, new traffic), but not
-  /// across worker counts. Works in legacy mode too (same kernel, message
-  /// hops only) — useful for differential testing.
+  /// across worker counts. Works on the one-kernel layout too (same kernel,
+  /// message hops only) — useful for differential testing.
   bool async_store = false;
 
   /// When > 0, run the structural-invariant audit (focus/audit.hpp) every
   /// this many microseconds of simulated time and abort (FOCUS_CHECK) on the
   /// first violation. Off by default: benches measure undisturbed costs.
-  /// In sharded mode the audit runs at the first window barrier at or after
-  /// each due time (windows are ~2.7 ms, so the skew is negligible).
+  /// The audit runs in the driver's barrier hook: exactly at each due time
+  /// on the one-kernel layout (a stop point), at the first round at or after
+  /// it on a multi-shard layout (rounds are ~2.7 ms, so the skew is
+  /// negligible). Digest-neutral either way.
   Duration audit_interval = 0;
 
   /// When > 0, sample every registered metric into an obs::Recorder on this
-  /// sim-time cadence (legacy mode: run_for chunks at each due time; sharded
-  /// mode: the first barrier at or after each due time). Observation-only —
-  /// digests are byte-identical with recording on or off
-  /// (tests/test_telemetry.cpp pins this). FOCUS_RECORD=<ms> sets it from
-  /// the environment at construction.
+  /// sim-time cadence, in the barrier hook like the audit: exactly at each
+  /// due time on the one-kernel layout, at the first round at or after it
+  /// otherwise. Observation-only — digests are byte-identical with
+  /// recording on or off (tests/test_telemetry.cpp pins this).
+  /// FOCUS_RECORD=<ms> sets it from the environment at construction.
   Duration record_interval = 0;
 
   /// Path of an SLO spec document (obs/slo.hpp) evaluated by check_slos()
@@ -118,9 +124,8 @@ struct TestbedConfig {
   /// record_interval > 0.
   std::string slo_path;
 
-  /// Sharded mode only: wall-clock scheduler profiling
-  /// (sim::ShardedSimulator::shard_profiles). Observation-only; digests are
-  /// unaffected.
+  /// Wall-clock scheduler profiling (sim::ShardedSimulator::shard_profiles).
+  /// Observation-only; digests are unaffected.
   bool wall_profiling = false;
 
   /// Keep the agent-side reporting settings in lockstep with the service
@@ -141,19 +146,20 @@ class Testbed {
   /// the simulator; call run_for / settle afterwards.
   void start();
 
-  /// Advance simulated time (all shards, in sharded mode).
-  void run_for(Duration d);
+  /// Advance simulated time on every shard. Run the world only through
+  /// this (and settle / query_and_wait): running a kernel directly leaves
+  /// the driver's committed time behind, and its next run aborts.
+  void run_for(Duration d) { driver_->run_for(d); }
 
-  /// Committed simulated time: the legacy kernel's clock, or the sharded
-  /// driver's barrier time.
-  SimTime now() const noexcept;
+  /// Committed simulated time: the driver's barrier time.
+  SimTime now() const noexcept { return driver_->now(); }
 
-  /// Order-sensitive event digest of the whole world: the kernel digest in
-  /// legacy mode, the shard-order fold in sharded mode.
-  std::uint64_t digest() const noexcept;
+  /// Order-sensitive event digest of the whole world: the shard-order fold,
+  /// which is the kernel digest itself on the one-kernel layout.
+  std::uint64_t digest() const noexcept { return driver_->digest(); }
 
   /// Total events executed across every kernel.
-  std::uint64_t executed() const noexcept;
+  std::uint64_t executed() const noexcept { return driver_->executed(); }
 
   /// Run until every agent is registered and group reports have flowed at
   /// least once (bounded by `max`). Returns true when settled.
@@ -164,40 +170,40 @@ class Testbed {
   Result<core::QueryResult> query_and_wait(core::Query query,
                                            Duration max_wait = 10 * kSecond);
 
-  /// The service kernel: the sole kernel in legacy mode; in sharded mode
-  /// the shard hosting the service node and its store (other app-edge
-  /// nodes may live on sibling edge sub-shards — see simulator_for).
+  /// The service kernel: the shard hosting the service node and its store
+  /// (the sole kernel on the one-kernel layout; other app-edge nodes may
+  /// live on sibling edge sub-shards — see simulator_for).
   sim::Simulator& simulator() noexcept { return simulator_; }
 
-  /// The kernel that owns `node`: its shard's kernel in sharded mode, the
-  /// sole kernel otherwise. Timers whose callbacks touch a component's
-  /// state must be scheduled on that component's own kernel (e.g. a query
-  /// driver ticks on simulator_for(kAppNode), the client's shard).
+  /// The kernel that owns `node`: its shard's kernel. Timers whose callbacks
+  /// touch a component's state must be scheduled on that component's own
+  /// kernel (e.g. a query driver ticks on simulator_for(kAppNode), the
+  /// client's shard).
   sim::Simulator& simulator_for(NodeId node) noexcept {
-    return sharded_ ? *shard_sims_[topology_.shard_of(node)] : simulator_;
+    return *shard_sims_[topology_.shard_of(node)];
   }
   const sim::Simulator& simulator_for(NodeId node) const noexcept {
-    return sharded_ ? *shard_sims_[topology_.shard_of(node)] : simulator_;
+    return *shard_sims_[topology_.shard_of(node)];
   }
 
-  /// The sharded driver, or nullptr in legacy mode.
-  sim::ShardedSimulator* sharded() noexcept { return sharded_.get(); }
+  /// The driver that runs every shard of this world.
+  sim::ShardedSimulator* sharded() noexcept { return driver_.get(); }
 
-  /// The service-shard transport (the sole transport in legacy mode).
-  /// Server traffic counters always live here.
+  /// The service-shard transport. Server traffic counters always live here.
   net::SimTransport& transport() noexcept { return *transport_; }
 
-  /// The transport that owns `node`'s endpoints: its shard's transport in
-  /// sharded mode, the sole transport otherwise.
-  net::SimTransport& transport_for(NodeId node);
+  /// The transport that owns `node`'s endpoints: its shard's transport.
+  net::SimTransport& transport_for(NodeId node) {
+    return *shard_transports_[topology_.shard_of(node)];
+  }
 
-  /// Mark a node down/up on its owning transport (works in both modes).
+  /// Mark a node down/up on its owning transport.
   void set_node_down(NodeId node, bool down) {
     transport_for(node).set_node_down(node, down);
   }
 
   net::Topology& topology() noexcept { return topology_; }
-  /// The replica cluster, wherever it lives: in-kernel (legacy path) or
+  /// The replica cluster, wherever it lives: in-kernel (async_store off) or
   /// behind the StoreServer (async path). Replica inspection for tests.
   store::Cluster& store() noexcept {
     return store_ ? *store_ : store_server_->cluster();
@@ -223,16 +229,19 @@ class Testbed {
     return transport_->stats().of(kServerNode);
   }
 
-  /// Run the structural audit over the service, kernel, and every live
-  /// gossip agent right now. In sharded mode, call only between run_for
-  /// calls (the barrier hook calls it with workers parked).
+  /// Run the structural audit over the service, every shard kernel (in
+  /// shard order) and every live gossip agent right now. Call only between
+  /// run_for calls (the barrier hook calls it with workers parked).
   core::AuditReport audit() const {
-    core::AuditReport report = core::audit_service(*service_, simulator_);
+    core::AuditReport report = core::audit_service(*service_, simulator_.now());
+    for (const sim::Simulator* kernel : shard_sims_) {
+      report.merge(core::audit_simulator(*kernel));
+    }
     for (const auto& agent : agents_) {
       // Judge each agent against its own kernel's clock: with per-edge
       // windows, shards sit at different committed times at a barrier, and
       // liveness bounds must not charge an agent for time its kernel has
-      // not executed yet. With a global window every shard commits to the
+      // not executed yet. Under a uniform matrix every shard commits to the
       // same barrier, so this is behavior-identical there.
       const SimTime agent_now = simulator_for(agent.node()).now();
       for (const auto& [attr, membership] : agent.p2p().memberships()) {
@@ -261,7 +270,7 @@ class Testbed {
   /// Cumulative metrics snapshot the recorder samples and the SLO evaluator
   /// reads: every obs metric (merged across worker threads) plus per-kind
   /// traffic totals re-published as net.<kind>.{msgs,bytes,payload_builds}
-  /// counters and, in sharded mode, per-shard scheduler telemetry
+  /// counters and per-shard scheduler telemetry
   /// (sharded.shard<i>.{windows,window_width_us,events} counters, a
   /// committed_us gauge, and busy/stall/idle_us when wall profiling is on).
   obs::MetricSet telemetry_snapshot() const;
@@ -286,12 +295,13 @@ class Testbed {
   std::map<std::string, net::MsgKindStats> traffic_totals() const;
 
   TestbedConfig config_;
-  sim::Simulator simulator_;  ///< service kernel (sole kernel in legacy mode)
+  sim::Simulator simulator_;  ///< service kernel (the sole one if unsplit)
   net::Topology topology_;
-  /// Sharded mode only: the heap kernels for every shard except the service
-  /// shard, which reuses simulator_ (construction order is shard order, so
-  /// with no sub-shard splits these are the four data-region kernels).
+  /// The heap kernels for every shard except the service shard, which reuses
+  /// simulator_ (construction order is shard order, so with no sub-shard
+  /// splits these are the four data-region kernels).
   std::vector<std::unique_ptr<sim::Simulator>> owned_sims_;
+  /// Cross-shard staging; nullptr on the one-kernel layout.
   std::unique_ptr<net::ShardStager> stager_;
   std::unique_ptr<net::SimTransport> transport_;  ///< service-shard transport
   std::vector<std::unique_ptr<net::SimTransport>> owned_transports_;
@@ -314,10 +324,9 @@ class Testbed {
   Slab<agent::NodeManager> agents_;
   /// Declared after everything it drives so its destructor joins the worker
   /// threads before any shard state is torn down.
-  std::unique_ptr<sim::ShardedSimulator> sharded_;
-  sim::TimerId audit_timer_ = 0;
+  std::unique_ptr<sim::ShardedSimulator> driver_;
   std::uint64_t audits_run_ = 0;
-  SimTime next_audit_ = 0;  ///< sharded mode: next barrier-audit due time
+  SimTime next_audit_ = 0;  ///< next audit due time; 0 = audits off
   std::string trace_path_;  ///< from FOCUS_TRACE; written at destruction
   /// Metric time-series (record_interval > 0). Sampled on the coordinator /
   /// caller thread only, with all shard workers parked.

@@ -1,17 +1,18 @@
 #pragma once
-// Cross-shard message staging for region-sharded simulation. When a
-// SimTransport runs in sharded mode (one transport + kernel per region), a
-// send whose destination lives in another region cannot be scheduled into
-// the destination kernel directly — that kernel is executing concurrently on
+// Cross-shard message staging for sharded simulation. When a SimTransport
+// serves one shard of a multi-shard world (enable_sharding), a send whose
+// destination lives on another shard cannot be scheduled into the
+// destination kernel directly — that kernel is executing concurrently on
 // another worker thread. Instead the fully-sampled delivery (absolute
 // deliver-at time, bandwidth charges, payload) is staged into a per-
-// (source, destination) outbox here, and the window coordinator merges every
-// outbox into the destination kernels at the next barrier.
+// (source, destination) outbox here, and the driver's coordinator merges
+// every outbox into the destination kernels after each round. A one-shard
+// world never stages: its transport is not put in sharded mode at all.
 //
 // Thread-safety is by confinement, not locking: outbox (src, dst) is
 // appended only by the worker executing shard `src` (a shard runs on exactly
-// one worker per window), and merge_at_barrier runs only on the coordinator
-// while all workers are parked. The ShardedSimulator window hand-off mutex
+// one worker per round), and merge_at_barrier runs only on the coordinator
+// while all workers are parked. The ShardedSimulator round hand-off mutex
 // provides the happens-before edges in both directions, so the vectors
 // themselves need no synchronization — focus-lint's shard-confinement check
 // enforces that no other concurrency primitives creep into shard-crossing
@@ -20,8 +21,8 @@
 // Determinism: merged deliveries for a destination are ordered by
 // (deliver_at, source shard, per-source send order) — append outboxes in
 // source order and stable_sort by deliver_at alone. The order is a pure
-// function of per-shard event sequences, which the conservative window makes
-// independent of worker count, so digests match for any --shards value.
+// function of per-shard event sequences, which the conservative scheduler
+// makes independent of worker count, so digests match for any worker count.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,24 +51,18 @@ class ShardStager {
   explicit ShardStager(std::size_t num_shards);
 
   /// Stage one cross-shard delivery. Called on the worker executing shard
-  /// `src` during a window; (src, dst) confinement makes this lock-free.
+  /// `src` during a round; (src, dst) confinement makes this lock-free.
   void stage(std::size_t src, std::size_t dst, StagedMessage staged);
 
   /// Drain every outbox into the destination transports. Coordinator-only,
-  /// with all workers parked (a ShardedSimulator barrier hook). Every staged
-  /// delivery must land at or after `barrier` — the conservative-window
-  /// guarantee — and the FOCUS_CHECK here is what makes a too-large window a
-  /// loud failure instead of a silent determinism break.
-  /// `targets[dst]` receives outboxes (*, dst); size must equal num_shards().
-  void merge_at_barrier(SimTime barrier,
-                        const std::vector<SimTransport*>& targets);
-
-  /// Per-edge-window variant: shard clocks diverge between rounds, so each
-  /// destination has its own committed horizon (`barriers[dst]` — the
-  /// driver's committed_times()). Every staged delivery into `dst` must land
-  /// at or after barriers[dst]; the check is what makes a lookahead-matrix
-  /// entry (or a set_lookahead_override claim) that overstates an edge's
-  /// minimum delay a loud failure instead of a silent determinism break.
+  /// with all workers parked (a ShardedSimulator barrier hook). Shard clocks
+  /// may differ between rounds, so each destination has its own committed
+  /// horizon (`barriers[dst]` — the driver's committed_times()); every
+  /// staged delivery into `dst` must land at or after it. The FOCUS_CHECK
+  /// here is what makes a lookahead-matrix entry (or a
+  /// set_lookahead_override claim) that overstates an edge's minimum delay a
+  /// loud failure instead of a silent determinism break. `targets[dst]`
+  /// receives outboxes (*, dst); both vectors hold num_shards() entries.
   void merge_at_barrier(const std::vector<SimTime>& barriers,
                         const std::vector<SimTransport*>& targets);
 
@@ -76,7 +71,7 @@ class ShardStager {
   /// Total deliveries merged so far (coordinator-only; bench reporting).
   std::uint64_t merged_total() const noexcept { return merged_total_; }
 
-  /// True when every outbox is empty (between windows: nothing in flight
+  /// True when every outbox is empty (between rounds: nothing in flight
   /// across shards).
   bool drained() const noexcept;
 
@@ -84,11 +79,6 @@ class ShardStager {
   std::vector<StagedMessage>& outbox(std::size_t src, std::size_t dst) {
     return outboxes_[src * num_shards_ + dst];
   }
-
-  /// Drain the (*, dst) outboxes into targets[dst], checking every delivery
-  /// against `barrier`. Shared by both merge_at_barrier overloads.
-  void merge_dst(std::size_t dst, SimTime barrier,
-                 const std::vector<SimTransport*>& targets);
 
   std::size_t num_shards_;
   std::vector<std::vector<StagedMessage>> outboxes_;

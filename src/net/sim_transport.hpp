@@ -86,8 +86,8 @@ class SimTransport final : public Transport {
   /// flags) that send and delivery probe once per endpoint.
   NetStats stats_;
   /// Sharded mode (enable_sharding): the shard this transport serves and
-  /// the staging buffers for cross-shard sends. Null stager = legacy
-  /// single-kernel mode.
+  /// the staging buffers for cross-shard sends. Null stager = a one-shard
+  /// world: every send goes straight into this transport's kernel.
   std::size_t shard_index_ = 0;
   ShardStager* stager_ = nullptr;
 };

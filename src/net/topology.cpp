@@ -52,6 +52,13 @@ void Topology::set_sub_shards(Region r, unsigned k) {
   rebuild_lookahead_cache();
 }
 
+void Topology::set_single_shard() {
+  sub_count_.fill(1);
+  shard_base_.fill(0);
+  num_shards_ = 1;
+  rebuild_lookahead_cache();
+}
+
 Region Topology::region_of_shard(std::size_t s) const noexcept {
   // 5 regions: a reverse scan over shard_base_ beats keeping a parallel map.
   for (std::size_t r = kRegions; r-- > 1;) {

@@ -133,12 +133,19 @@ class Topology {
     return sub_count_[static_cast<std::size_t>(r)];
   }
 
+  /// Put every region on shard 0: the one-kernel layout (num_shards() == 1,
+  /// a 1x1 lookahead matrix with no finite edge). Same call-before-use rule
+  /// as set_sub_shards; a later set_sub_shards restores the region-major
+  /// layout.
+  void set_single_shard();
+
   /// Total shard count: sum of sub-shard counts over all regions. 5 when
-  /// nothing is split (the PR7 one-kernel-per-region layout).
+  /// nothing is split (one kernel per region); 1 after set_single_shard.
   std::size_t num_shards() const noexcept { return num_shards_; }
 
   /// First shard index of a region; a region's sub-shards are contiguous in
-  /// region-major order (Ohio subs, Canada subs, ..., AppEdge subs).
+  /// region-major order (Ohio subs, Canada subs, ..., AppEdge subs). Every
+  /// base is 0 in the single-shard layout.
   std::size_t shard_base(Region r) const noexcept {
     return shard_base_[static_cast<std::size_t>(r)];
   }

@@ -11,7 +11,8 @@
 // The Recorder itself never reads a clock and never touches thread-local
 // state: the harness hands it an aggregated MetricSet snapshot plus the
 // sim time of the sample (harness/testbed.cpp owns the sampling schedule —
-// chunked run_until in legacy mode, the window-barrier hook in sharded mode),
+// the driver's barrier hook, with a round ending at each due time in a
+// one-kernel world),
 // so recording is deterministic pure observation: digests are byte-identical
 // with recording on or off, which tests/test_telemetry.cpp and the pinned
 // sharded goldens enforce.

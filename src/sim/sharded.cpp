@@ -32,51 +32,44 @@ std::int64_t wall_now_ns() {
 }
 }  // namespace
 
-ShardedSimulator::ShardedSimulator(std::vector<Simulator*> shards,
-                                   Duration window, unsigned threads)
-    : ShardedSimulator(std::move(shards), window, {}, threads,
-                       /*batch_factor=*/1.0) {}
+std::vector<Duration> uniform_lookahead(std::size_t shards, Duration window) {
+  FOCUS_CHECK_GT(window, 0)
+      << "conservative window must be positive (Topology::lookahead_floor)";
+  std::vector<Duration> matrix(shards * shards, window);
+  for (std::size_t s = 0; s < shards; ++s) {
+    matrix[s * shards + s] = kNoTrafficLookahead;
+  }
+  return matrix;
+}
 
 ShardedSimulator::ShardedSimulator(std::vector<Simulator*> shards,
-                                   std::vector<Duration> lookahead,
-                                   unsigned threads, double batch_factor)
-    : ShardedSimulator(std::move(shards), /*window=*/0, std::move(lookahead),
-                       threads, batch_factor) {}
-
-ShardedSimulator::ShardedSimulator(std::vector<Simulator*> shards,
-                                   Duration window,
                                    std::vector<Duration> lookahead,
                                    unsigned threads, double batch_factor)
     : shards_(std::move(shards)),
-      window_(window),
       threads_(std::clamp<unsigned>(
           threads, 1u, static_cast<unsigned>(shards_.empty() ? 1 : shards_.size()))),
       lookahead_(std::move(lookahead)),
       batch_factor_(batch_factor) {
   FOCUS_CHECK(!shards_.empty()) << "sharded run needs at least one shard";
   const std::size_t n = shards_.size();
-  if (per_edge()) {
-    FOCUS_CHECK_EQ(lookahead_.size(), n * n)
-        << "per-edge mode needs a full shards x shards lookahead matrix";
-    FOCUS_CHECK_GE(batch_factor_, 1.0)
-        << "hysteresis below one window would stall horizon advances";
-    // Tightest finite incoming edge per shard — the hysteresis unit. A shard
-    // with no finite incoming edge is unconstrained and always runs straight
-    // to the run_until target.
-    min_incoming_.assign(n, kNoTrafficLookahead);
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      for (std::size_t src = 0; src < n; ++src) {
-        if (src == dst) continue;
-        const Duration l = lookahead_[src * n + dst];
-        FOCUS_CHECK_GT(l, 0)
-            << "lookahead matrix entries must be positive (shard " << src
-            << " -> " << dst << ")";
-        min_incoming_[dst] = std::min(min_incoming_[dst], l);
-      }
+  FOCUS_CHECK_EQ(lookahead_.size(), n * n)
+      << "the driver needs a full shards x shards lookahead matrix";
+  FOCUS_CHECK_GE(batch_factor_, 1.0)
+      << "hysteresis below one window would stall horizon advances";
+  // Tightest finite incoming edge per shard — the hysteresis unit. A shard
+  // with no finite incoming edge is unconstrained and always runs straight
+  // to the run_until target.
+  min_incoming_.assign(n, kNoTrafficLookahead);
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    for (std::size_t src = 0; src < n; ++src) {
+      if (src == dst) continue;
+      const Duration l = lookahead_[src * n + dst];
+      FOCUS_CHECK_GT(l, 0)
+          << "lookahead matrix entries must be positive (shard " << src
+          << " -> " << dst << ")";
+      min_incoming_[dst] = std::min(min_incoming_[dst], l);
     }
-  } else {
-    FOCUS_CHECK_GT(window_, 0)
-        << "conservative window must be positive (Topology::lookahead_floor)";
+    if (min_incoming_[dst] != kNoTrafficLookahead) uncoupled_ = false;
   }
   for (const Simulator* shard : shards_) {
     FOCUS_CHECK(shard != nullptr);
@@ -90,10 +83,8 @@ ShardedSimulator::ShardedSimulator(std::vector<Simulator*> shards,
   window_width_sum_.assign(n, 0);
   profiles_.assign(n, ShardProfile{});
   round_busy_ns_.assign(n, 0);
-  if (per_edge()) {
-    limited_by_.assign(n * (n + 1), 0);
-    round_limiter_.assign(n, n);
-  }
+  limited_by_.assign(n * (n + 1), 0);
+  round_limiter_.assign(n, n);
   // The coordinator thread's log lines carry the committed fleet time; each
   // shard's own install (Simulator ctor) only matters on the thread that
   // executes it, which run_assigned re-establishes per window.
@@ -122,13 +113,11 @@ std::int64_t ShardedSimulator::coordinator_time(const void* ctx) {
   return static_cast<const ShardedSimulator*>(ctx)->now_;
 }
 
-void ShardedSimulator::run_assigned(unsigned index, SimTime target) {
-  const bool edge_mode = per_edge();
+void ShardedSimulator::run_assigned(unsigned index) {
   for (std::size_t s = index; s < shards_.size(); s += threads_) {
     Simulator* shard = shards_[s];
-    // Per-edge rounds publish one target per shard; a shard whose target
-    // equals its clock sits this round out.
-    const SimTime shard_target = edge_mode ? round_targets_[s] : target;
+    // A shard whose target equals its clock sits this round out.
+    const SimTime shard_target = round_targets_[s];
     if (shard_target <= shard->now()) continue;
     // Stamp this thread's log lines with the clock of the shard it is
     // currently executing.
@@ -155,15 +144,13 @@ void ShardedSimulator::run_assigned(unsigned index, SimTime target) {
 void ShardedSimulator::worker_main(unsigned index) {
   std::uint64_t seen = 0;
   for (;;) {
-    SimTime target = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
       if (stop_) return;
       seen = epoch_;
-      target = target_;
     }
-    run_assigned(index, target);
+    run_assigned(index);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++done_;
@@ -172,21 +159,20 @@ void ShardedSimulator::worker_main(unsigned index) {
   }
 }
 
-void ShardedSimulator::execute_round(SimTime target) {
+void ShardedSimulator::execute_round() {
   std::int64_t round_start_ns = 0;
   if (wall_profiling_) {
     round_start_ns = wall_now_ns();
     std::fill(round_busy_ns_.begin(), round_busy_ns_.end(), 0);
   }
   if (workers_.empty()) {
-    run_assigned(0, target);
+    run_assigned(0);
     // run_assigned left the thread's log-time slot cleared; restore the
     // coordinator stamp for barrier-hook logging.
     Logger::set_time_source(&ShardedSimulator::coordinator_time, this);
   } else {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      target_ = target;
       done_ = 0;
       ++epoch_;
     }
@@ -197,18 +183,16 @@ void ShardedSimulator::execute_round(SimTime target) {
     }
   }
   if (wall_profiling_) {
-    // Fold this round into the per-shard profiles. Runs before run_round /
-    // run_until advance committed_, so `ran` can be derived from the same
-    // targets the workers saw. busy is clamped to the round wall (the worker
+    // Fold this round into the per-shard profiles. Runs before run_round
+    // advances committed_, so `ran` can be derived from the same targets the
+    // workers saw. busy is clamped to the round wall (the worker
     // and coordinator read the clock at slightly different moments), which
     // makes busy + stall + idle == wall hold exactly per shard.
     const std::int64_t round_wall = wall_now_ns() - round_start_ns;
-    const bool edge_mode = per_edge();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       ShardProfile& p = profiles_[i];
       p.wall_ns += round_wall;
-      const SimTime shard_target = edge_mode ? round_targets_[i] : target;
-      if (shard_target > committed_[i]) {
+      if (round_targets_[i] > committed_[i]) {
         const std::int64_t busy = std::min(round_busy_ns_[i], round_wall);
         p.busy_ns += busy;
         p.stall_ns += round_wall - busy;
@@ -287,7 +271,7 @@ void ShardedSimulator::run_round(SimTime t) {
     round_limiter_[pick] = limiter;
   }
 
-  execute_round(/*target=*/0);  // per-edge: workers read round_targets_
+  execute_round();
 
   for (std::size_t i = 0; i < n; ++i) {
     if (round_targets_[i] <= committed_[i]) continue;
@@ -311,27 +295,19 @@ void ShardedSimulator::run_round(SimTime t) {
 
 void ShardedSimulator::run_until(SimTime t) {
   FOCUS_CHECK_GE(t, now_) << "sharded time cannot run backwards";
-  if (per_edge()) {
-    while (now_ < t) run_round(t);
-    return;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    FOCUS_CHECK_EQ(shards_[i]->now(), committed_[i])
+        << "shard " << i << " kernel was run outside the driver";
   }
   while (now_ < t) {
-    const SimTime target = std::min<SimTime>(now_ + window_, t);
-    execute_round(target);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      ++windows_run_[i];
-      window_width_sum_[i] += target - committed_[i];
-      committed_[i] = target;
+    SimTime target = t;
+    // Stop points split a round only where that cannot change the schedule:
+    // with no finite edge every shard runs straight to its target anyway.
+    if (uncoupled_ && stop_source_) {
+      const SimTime stop = stop_source_();
+      if (stop > now_ && stop < t) target = stop;
     }
-    ++rounds_;
-    obs::metrics().add(kRoundsMetric, 1);
-    obs::metrics().add(kShardWindowsMetric,
-                       static_cast<double>(shards_.size()));
-    now_ = target;
-    // Workers are parked between windows, so the hook may mutate any shard
-    // (merge staged cross-shard messages, audit, sample); the mutex hand-off
-    // above orders its writes before the next window's execution.
-    if (hook_) hook_(now_);
+    run_round(target);
   }
 }
 
@@ -342,6 +318,7 @@ std::uint64_t ShardedSimulator::executed() const noexcept {
 }
 
 std::uint64_t ShardedSimulator::digest() const noexcept {
+  if (shards_.size() == 1) return shards_.front()->digest();
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   for (const Simulator* shard : shards_) {
     std::uint64_t d = shard->digest();

@@ -117,6 +117,45 @@ TEST(Audit, PeriodicTestbedAuditRuns) {
   EXPECT_GE(bed.audits_run(), 5u);
 }
 
+// Regression: the testbed audit once checked only the service kernel's
+// queue, so in a split world every other shard's kernel went unaudited.
+// Rebuild the expected check count from its parts and require one
+// audit_simulator pass per shard.
+TEST(Audit, EveryShardKernelIsAudited) {
+  harness::TestbedConfig config;
+  config.num_nodes = 12;
+  config.seed = 17;
+  config.shards = 1;
+  config.data_sub_shards = 2;
+  config.edge_sub_shards = 2;
+  harness::Testbed bed(config);
+  bed.start();
+  ASSERT_TRUE(bed.settle());
+
+  const sim::ShardedSimulator& driver = *bed.sharded();
+  ASSERT_EQ(driver.num_shards(), 10u);
+  const core::Service& service = bed.service();
+  const SimTime now = bed.simulator().now();
+  std::size_t expected =
+      core::audit_groups(service.dgm(), service.registrar(), service.config(),
+                         now).checks_run +
+      core::audit_registrar(service.registrar()).checks_run +
+      core::audit_cache(service.router().cache(), now).checks_run;
+  for (std::size_t s = 0; s < driver.num_shards(); ++s) {
+    expected += core::audit_simulator(driver.shard(s)).checks_run;
+  }
+  for (std::size_t i = 0; i < bed.num_agents(); ++i) {
+    const agent::NodeManager& agent = bed.agent(i);
+    const SimTime agent_now = bed.simulator_for(agent.node()).now();
+    for (const auto& [attr, membership] : agent.p2p().memberships()) {
+      expected += core::audit_gossip(*membership.agent, agent_now).checks_run;
+    }
+  }
+  const core::AuditReport report = bed.audit();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.checks_run, expected);
+}
+
 TEST(Audit, GossipLayerHoldsUnderChurnAndFanoutSharesPayloads) {
   // 25 nodes with aggressive value churn: group moves keep the gossip layer
   // busy (joins, leaves, suspicion) while queries drive event fanout. The

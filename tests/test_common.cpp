@@ -1,4 +1,4 @@
-// Unit tests for common utilities: JSON, histogram, RNG, Result, metrics.
+// Unit tests for common utilities: JSON, histogram, RNG, Result, logging.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
-#include "common/metrics.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -296,31 +295,6 @@ TEST(Result, ValueAndError) {
 TEST(Result, ErrcNames) {
   EXPECT_STREQ(to_string(Errc::NotFound), "not-found");
   EXPECT_STREQ(to_string(Errc::Overloaded), "overloaded");
-}
-
-// ---------------------------------------------------------------------------
-// Metrics
-
-TEST(Metrics, CountersAndGauges) {
-  Metrics m;
-  EXPECT_FALSE(m.has("x"));
-  m.add("x");
-  m.add("x", 2.5);
-  EXPECT_DOUBLE_EQ(m.get("x"), 3.5);
-  m.set("x", 1.0);
-  EXPECT_DOUBLE_EQ(m.get("x"), 1.0);
-  EXPECT_TRUE(m.has("x"));
-  EXPECT_DOUBLE_EQ(m.get("never"), 0.0);
-}
-
-TEST(Metrics, Histograms) {
-  Metrics m;
-  m.observe("lat", 5);
-  m.observe("lat", 15);
-  EXPECT_EQ(m.histogram("lat").count(), 2u);
-  EXPECT_EQ(m.histogram("absent").count(), 0u);
-  m.clear();
-  EXPECT_EQ(m.histogram("lat").count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

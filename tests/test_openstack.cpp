@@ -78,9 +78,9 @@ class PlacementFixture : public ::testing::Test {
       out = std::move(r);
       done = true;
     });
-    const SimTime deadline = bed_->simulator().now() + 10 * kSecond;
-    while (!done && bed_->simulator().now() < deadline) {
-      bed_->simulator().run_for(10 * kMillisecond);
+    const SimTime deadline = bed_->now() + 10 * kSecond;
+    while (!done && bed_->now() < deadline) {
+      bed_->run_for(10 * kMillisecond);
     }
     return out;
   }

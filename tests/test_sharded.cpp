@@ -39,7 +39,8 @@ std::uint64_t run_bare_cascade(unsigned threads) {
     };
     Cascade::arm(*sim, 6);
   }
-  sim::ShardedSimulator driver(std::move(ptrs), /*window=*/2500, threads);
+  sim::ShardedSimulator driver(std::move(ptrs), sim::uniform_lookahead(3, 2500),
+                               threads, /*batch_factor=*/1.0);
   driver.run_until(50 * kMillisecond);
   EXPECT_EQ(driver.now(), 50 * kMillisecond);
   return driver.digest();
@@ -58,7 +59,8 @@ TEST(ShardedDriver, BarrierHookSeesCommittedTime) {
     sims.push_back(std::make_unique<sim::Simulator>());
     ptrs.push_back(sims.back().get());
   }
-  sim::ShardedSimulator driver(std::move(ptrs), /*window=*/1000, 2);
+  sim::ShardedSimulator driver(std::move(ptrs), sim::uniform_lookahead(2, 1000),
+                               2, /*batch_factor=*/1.0);
   std::vector<SimTime> barriers;
   driver.set_barrier_hook([&](SimTime t) {
     barriers.push_back(t);
@@ -71,6 +73,18 @@ TEST(ShardedDriver, BarrierHookSeesCommittedTime) {
   ASSERT_EQ(barriers.size(), 4u);  // 1000, 2000, 3000, 3500
   EXPECT_EQ(barriers.back(), 3500);
   EXPECT_EQ(driver.now(), 3500);
+}
+
+TEST(ShardedDriverDeath, KernelRunOutsideDriverFails) {
+  sim::Simulator sims[2];
+  sim::ShardedSimulator driver({&sims[0], &sims[1]},
+                               sim::uniform_lookahead(2, 1000), 1,
+                               /*batch_factor=*/1.0);
+  driver.run_until(1000);
+  // A kernel advanced behind the driver's back would run past its
+  // committed time without the merges that time implies.
+  sims[1].run_until(1500);
+  EXPECT_DEATH(driver.run_until(2000), "run outside the driver");
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +138,7 @@ TEST(ShardStager, MergesByDeliverAtThenSourceShardThenSendOrder) {
   stager.stage(0, 2, staged(4000, NodeId{4}, NodeId{9}, /*tag=*/1));
   EXPECT_FALSE(stager.drained());
 
-  stager.merge_at_barrier(/*barrier=*/4000, targets);
+  stager.merge_at_barrier(/*barriers=*/{4000, 4000, 4000}, targets);
   EXPECT_TRUE(stager.drained());
   EXPECT_EQ(stager.merged_total(), 4u);
 
@@ -148,7 +162,7 @@ TEST(ShardStagerDeath, DeliveryInsideCommittedWindowFails) {
     targets.push_back(transports[s].get());
   }
   stager.stage(0, 1, staged(999, NodeId{4}, NodeId{9}, 1));
-  EXPECT_DEATH(stager.merge_at_barrier(/*barrier=*/1000, targets),
+  EXPECT_DEATH(stager.merge_at_barrier(/*barriers=*/{1000, 1000}, targets),
                "lookahead floor");
 }
 
@@ -181,7 +195,7 @@ TEST(ShardedTransport, CrossRegionSendWaitsForBarrierMerge) {
   EXPECT_FALSE(stager.drained());
 
   std::vector<net::SimTransport*> targets{&ohio, &canada};
-  stager.merge_at_barrier(0, targets);
+  stager.merge_at_barrier(/*barriers=*/{0, 0}, targets);
   sims[1].run_until(1 * kSecond);
   EXPECT_EQ(received, 1);
   // Sender charged tx in Ohio's books, receiver rx in Canada's.
@@ -296,7 +310,8 @@ ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
                                 unsigned edge_sub_shards = 1,
                                 bool per_edge_windows = false,
                                 bool async_store = false,
-                                Duration record_interval = 0) {
+                                Duration record_interval = 0,
+                                Duration audit_interval = 0) {
   harness::TestbedConfig config;
   config.num_nodes = 25;
   config.seed = seed;
@@ -310,6 +325,7 @@ ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
   // cross-thread hand-off under TSan.
   config.record_interval = record_interval;
   config.wall_profiling = record_interval > 0;
+  config.audit_interval = audit_interval;
   config.agent.dynamics.volatility = 0.02;
   harness::Testbed bed(config);
   bed.start();
@@ -587,7 +603,7 @@ TEST(ShardStagerDeath, PerEdgeDeliveryInsideDestinationBarrierFails) {
 
 // ---------------------------------------------------------------------------
 // Per-edge windows on the full testbed: digests legitimately differ from the
-// global-window schedule (different same-instant interleavings) but must be
+// uniform-matrix schedule (different same-instant interleavings) but must be
 // byte-identical across worker counts for every sub-shard split.
 
 TEST(PerEdgeDeterminism, DigestIdenticalAcrossWorkerCounts) {
@@ -636,7 +652,7 @@ TEST(PerEdgeDeterminism, WideSplitDigestIdenticalAcrossWorkerCounts) {
 
 // Golden replay for the per-edge schedule, the analogue of
 // SubShardChurnScenarioMatchesGoldenDigest: per-edge rounds interleave
-// same-instant cross-shard deliveries differently from the global window, so
+// same-instant cross-shard deliveries differently from the uniform matrix, so
 // this digest differs from the sub-shard golden by design — but it must be
 // stable across commits and worker counts. Regenerate with
 // run_sharded_scenario(42, 1, 2, 2, true) on an intentional kernel or
@@ -648,12 +664,21 @@ TEST(PerEdgeDeterminism, ChurnScenarioMatchesGoldenDigest) {
 }
 
 // Telemetry recording (100 ms cadence) plus wall profiling must reproduce
-// the recording-off golden digest above byte for byte, at every worker
-// count: sampling happens at barriers with workers parked and reads state
-// without mutating it, and the profiling clock never feeds a scheduling
-// decision. Runs under TSan in CI (the 'Sharded' pre-step), which also
-// pins the recorder's coordinator-only confinement.
+// the recording-off golden digests byte for byte, at every worker count:
+// sampling happens at barriers with workers parked and reads state without
+// mutating it, and the profiling clock never feeds a scheduling decision.
+// The uniform-matrix world also audits every second: audit and recorder due
+// times are stop points only for uncoupled layouts, so one leaking into this
+// multi-shard schedule would move its golden. Runs under TSan in CI (the
+// 'Sharded' pre-step), which also pins the recorder's coordinator-only
+// confinement.
 TEST(ShardedTelemetry, RecordingOnMatchesRecordingOffGoldenDigest) {
+  const ShardedRun uniform = run_sharded_scenario(
+      42, 2, 1, 1, /*per_edge=*/false, /*async=*/false, 100 * kMillisecond,
+      /*audit_interval=*/1 * kSecond);
+  EXPECT_EQ(uniform.digest, 1276291866252644938ull);
+  EXPECT_EQ(uniform.results, 10u);
+
   const ShardedRun one = run_sharded_scenario(
       42, 1, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
   const ShardedRun two = run_sharded_scenario(
@@ -744,7 +769,8 @@ TEST(LoggerTimeSource, ShardedDriverStampsCommittedTime) {
   // The driver owns the coordinator slot: even though the shard kernels were
   // constructed later than nothing else on this thread, the committed window
   // time wins — not "whichever simulator was constructed last".
-  sim::ShardedSimulator driver(std::move(ptrs), /*window=*/1000, 1);
+  sim::ShardedSimulator driver(std::move(ptrs), sim::uniform_lookahead(2, 1000),
+                               1, /*batch_factor=*/1.0);
   EXPECT_EQ(Logger::sim_time_or(-1), 0);
   driver.run_until(2500);
   EXPECT_EQ(Logger::sim_time_or(-1), 2500);

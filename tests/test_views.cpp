@@ -30,9 +30,9 @@ struct ViewFixture : ::testing::Test {
           initial = std::move(seeded);
         },
         [&](const ViewUpdate& update) { updates.push_back(update); });
-    const SimTime deadline = bed->simulator().now() + 10 * kSecond;
-    while (view_id == 0 && bed->simulator().now() < deadline) {
-      bed->simulator().run_for(10 * kMillisecond);
+    const SimTime deadline = bed->now() + 10 * kSecond;
+    while (view_id == 0 && bed->now() < deadline) {
+      bed->run_for(10 * kMillisecond);
     }
     return view_id;
   }
