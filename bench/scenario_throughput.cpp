@@ -44,7 +44,6 @@ struct Options {
   unsigned sub_shards = 1;       // sharded mode: kernels per data region
   unsigned edge_sub_shards = 1;  // sharded mode: kernels at the app edge
   bool per_edge_windows = false;  // sharded mode: per-edge lookahead matrix
-  bool async_store = false;       // message-routed store on its own shard
   long record_ms = 0;      // telemetry sampling cadence (0 = recording off)
   std::string timeseries;  // recorded-series output path ("" = none)
   std::string slo;         // SLO spec path; violations fail the bench
@@ -137,8 +136,6 @@ int main(int argc, char** argv) {
       opt.edge_sub_shards = static_cast<unsigned>(std::stoul(next()));
     } else if (arg == "--per-edge-windows") {
       opt.per_edge_windows = true;
-    } else if (arg == "--async-store") {
-      opt.async_store = true;
     } else if (arg == "--record-ms") {
       opt.record_ms = std::stol(next());
     } else if (arg == "--timeseries") {
@@ -157,8 +154,6 @@ int main(int argc, char** argv) {
                    "   kernels per data region / at the app edge; default 1)\n"
                    "  [--per-edge-windows]  (sharded mode: per-edge lookahead\n"
                    "   matrix instead of the uniform one)\n"
-                   "  [--async-store]  (host the store on its own shard behind\n"
-                   "   message-routed completions)\n"
                    "  [--record-ms N]  (sample metric time-series every N ms of\n"
                    "   sim time; sharded mode also turns on wall profiling)\n"
                    "  [--timeseries ts.json]  (write the recorded series)\n"
@@ -180,7 +175,6 @@ int main(int argc, char** argv) {
   config.data_sub_shards = opt.sub_shards;
   config.edge_sub_shards = opt.edge_sub_shards;
   config.per_edge_windows = opt.per_edge_windows;
-  config.async_store = opt.async_store;
   config.record_interval = opt.record_ms * kMillisecond;
   config.slo_path = opt.slo;
   // Wall profiling rides the recording switch: both are observation-only,
@@ -263,7 +257,6 @@ int main(int argc, char** argv) {
   // --compare shape-matches on them, so a per-edge run never gates against a
   // uniform-matrix baseline.
   if (opt.per_edge_windows) run["per_edge_windows"] = true;
-  if (opt.async_store) run["async_store"] = true;
   if (opt.shards > 0) {
     const sim::ShardedSimulator* driver = bed.sharded();
     // Deterministic coordination counts (sim-time quantities): how many

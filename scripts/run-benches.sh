@@ -34,7 +34,6 @@
 #   EDGE_SUB_SHARDS  sharded mode: kernels at the app edge (default: 1)
 #   PER_EDGE         sharded mode: 1 = per-edge lookahead matrix instead of
 #                    one global conservative window (default: 0)
-#   ASYNC_STORE      1 = message-routed store on its own shard (default: 0)
 #   RECORD_MS        telemetry sampling cadence in ms of sim time; 0 = off
 #                    (default: 0). Recording is observation-only: the digest
 #                    gate above holds with it on or off.
@@ -68,7 +67,6 @@ shards=${SHARDS:-0}
 sub_shards=${SUB_SHARDS:-1}
 edge_sub_shards=${EDGE_SUB_SHARDS:-1}
 per_edge=${PER_EDGE:-0}
-async_store=${ASYNC_STORE:-0}
 record_ms=${RECORD_MS:-0}
 slo=${SLO:-}
 
@@ -124,9 +122,6 @@ if [[ "$shards" -gt 0 ]]; then
     shard_args+=(--per-edge-windows)
   fi
 fi
-if [[ "$async_store" -ne 0 ]]; then
-  shard_args+=(--async-store)
-fi
 telemetry_args=()
 if [[ "$record_ms" -gt 0 ]]; then
   telemetry_args+=(--record-ms "$record_ms")
@@ -160,15 +155,14 @@ def shape(entry):
     return (entry.get("nodes"), entry.get("seed"), entry.get("sim_seconds"),
             entry.get("shards", 0), entry.get("sub_shards", 1),
             entry.get("edge_sub_shards", 1),
-            entry.get("per_edge_windows", False),
-            entry.get("async_store", False))
+            entry.get("per_edge_windows", False))
 
 
 matching = [e for e in trajectory if shape(e) == shape(fresh)]
 if not matching:
     print(f"no baseline entry in {baseline_path} matches workload "
           f"(nodes, seed, sim_seconds, shards, sub_shards, edge_sub_shards, "
-          f"per_edge_windows, async_store) = {shape(fresh)}; nothing to compare")
+          f"per_edge_windows) = {shape(fresh)}; nothing to compare")
     sys.exit(0)
 baseline = matching[-1]
 

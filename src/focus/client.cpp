@@ -123,10 +123,14 @@ void Client::handle_response(const net::Message& msg) {
     start_delegated(it->second, resp.query_id, resp.targets);
     return;
   }
+  ++stats_.responses;
+  if (!resp.result.error.empty()) {
+    finish(resp.query_id, make_error(Errc::Unavailable, resp.result.error));
+    return;
+  }
   QueryResult result = resp.result;
   result.issued_at = it->second.issued_at;  // measure client-observed latency
   result.completed_at = simulator_.now();
-  ++stats_.responses;
   finish(resp.query_id, std::move(result));
 }
 

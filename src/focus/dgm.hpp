@@ -174,7 +174,7 @@ class Dgm {
 
   Dgm(sim::Simulator& simulator, net::Transport& transport,
       net::Address south_addr, const ServiceConfig& config,
-      const Registrar& registrar, store::StoreBackend& store, Rng rng);
+      const Registrar& registrar, store::Cluster& store, Rng rng);
 
   /// Produce a group suggestion for (node, attr, value): an existing group
   /// with capacity, or a newly created (possibly forked / geo-scoped) group
@@ -310,7 +310,7 @@ class Dgm {
   net::Address south_addr_;
   const ServiceConfig& config_;
   const Registrar& registrar_;
-  store::StoreBackend& store_;
+  store::Cluster& store_;
   Rng rng_;
 
   /// Address-stable group storage; only clear_state shrinks it.

@@ -281,7 +281,7 @@ struct QueryResponsePayload final : net::Payload {
   std::vector<DelegateTarget> targets;
 
   std::size_t wire_size() const override {
-    std::size_t bytes = 24;
+    std::size_t bytes = 24 + result.error.size();
     for (const auto& e : result.entries) bytes += wire_size_of(e);
     for (const auto& t : targets) bytes += t.group.size() + 16;
     return bytes;

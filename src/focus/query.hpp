@@ -100,6 +100,10 @@ struct QueryResult {
   int groups_queried = 0;
   /// True when the collection window expired before every member replied.
   bool timed_out = false;
+  /// Non-empty when the service could not answer at all (a static query's
+  /// store scan failed). Client turns it into Errc::Unavailable, so an
+  /// outage never reads as "no node matches".
+  std::string error;
 
   /// End-to-end latency of the query.
   Duration latency() const { return completed_at - issued_at; }

@@ -36,7 +36,7 @@ const obs::MetricId kGroupsQueried =
 QueryRouter::QueryRouter(sim::Simulator& simulator, net::Transport& transport,
                          net::Address north_addr, const ServiceConfig& config,
                          const ServerCostModel& cost, Dgm& dgm,
-                         const Registrar& registrar, store::StoreBackend& store,
+                         const Registrar& registrar, store::Cluster& store,
                          Rng rng, std::function<void(Duration)> charge)
     : simulator_(simulator),
       transport_(transport),
@@ -250,10 +250,13 @@ void QueryRouter::route_static(Pending pending) {
         p.entries.push_back(std::move(e));
       }
       ++stats_.store_served;
+      finalize(id, /*timed_out=*/false);
     } else {
-      FOCUS_LOG(Warn, "router", "store scan failed: " << rows_result.error().message);
+      std::string error = "store scan failed: ";
+      error += rows_result.error().message;
+      FOCUS_LOG(Warn, "router", error);
+      finalize(id, /*timed_out=*/false, std::move(error));
     }
-    finalize(id, /*timed_out=*/false);
   });
 }
 
@@ -305,7 +308,7 @@ void QueryRouter::handle_node_state(const net::Message& msg) {
   }
 }
 
-void QueryRouter::finalize(std::uint64_t id, bool timed_out) {
+void QueryRouter::finalize(std::uint64_t id, bool timed_out, std::string error) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
@@ -327,6 +330,7 @@ void QueryRouter::finalize(std::uint64_t id, bool timed_out) {
   result.completed_at = simulator_.now();
   result.groups_queried = pending.groups_queried;
   result.timed_out = timed_out;
+  result.error = std::move(error);
 
   // Responses fetched from the groups are cached with their fetch time so
   // later queries can trade freshness for latency (§VI).

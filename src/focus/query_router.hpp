@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.hpp"
@@ -43,7 +44,7 @@ class QueryRouter {
   QueryRouter(sim::Simulator& simulator, net::Transport& transport,
               net::Address north_addr, const ServiceConfig& config,
               const ServerCostModel& cost, Dgm& dgm, const Registrar& registrar,
-              store::StoreBackend& store, Rng rng,
+              store::Cluster& store, Rng rng,
               std::function<void(Duration)> charge);
 
   /// Entry points called by the Service's transport dispatch.
@@ -79,7 +80,9 @@ class QueryRouter {
 
   void route_dynamic(Pending pending);
   void route_static(Pending pending);
-  void finalize(std::uint64_t id, bool timed_out);
+  /// Answer and retire query `id`; a non-empty `error` is carried to the
+  /// app in QueryResult::error.
+  void finalize(std::uint64_t id, bool timed_out, std::string error = {});
   void respond(const Pending& pending, QueryResult result);
   void respond_delegated(const Pending& pending,
                          std::vector<DelegateTarget> targets);
@@ -94,7 +97,7 @@ class QueryRouter {
   const ServerCostModel& cost_;
   Dgm& dgm_;
   const Registrar& registrar_;
-  store::StoreBackend& store_;
+  store::Cluster& store_;
   Rng rng_;
   std::function<void(Duration)> charge_;
 

@@ -6,7 +6,17 @@
 
 namespace focus::core {
 
-Registrar::Registrar(sim::Simulator& simulator, store::StoreBackend& store,
+namespace {
+// Completion of every row delete: a failed erase is logged like a failed
+// row write, never dropped.
+const auto kLogEraseFailure = [](Result<bool> r) {
+  if (!r.ok()) {
+    FOCUS_LOG(Warn, "registrar", "row delete failed: " << r.error().message);
+  }
+};
+}  // namespace
+
+Registrar::Registrar(sim::Simulator& simulator, store::Cluster& store,
                      const ServiceConfig& config)
     : simulator_(simulator), store_(store), config_(config) {}
 
@@ -41,7 +51,7 @@ int Registrar::register_node(const NodeState& state,
       if (state.static_values.count(attr) > 0) continue;
       StaticTable& table = table_for(attr);
       table.rows.erase(state.node);
-      store_.erase(table.table, key, [](Result<bool>) {});
+      store_.erase(table.table, key, kLogEraseFailure);
       ++writes;
     }
   }
@@ -102,10 +112,10 @@ int Registrar::deregister(NodeId node) {
   for (const auto& [attr, value] : it->second.static_values) {
     StaticTable& table = table_for(attr);
     table.rows.erase(node);
-    store_.erase(table.table, key, [](Result<bool>) {});
+    store_.erase(table.table, key, kLogEraseFailure);
     ++writes;
   }
-  store_.erase("nodes", key, [](Result<bool>) {});
+  store_.erase("nodes", key, kLogEraseFailure);
   ++writes;
   nodes_.erase(it);
   return writes;

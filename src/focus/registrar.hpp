@@ -30,7 +30,7 @@ struct NodeEntry {
 /// Node registration and the static-attribute primary tables.
 class Registrar {
  public:
-  Registrar(sim::Simulator& simulator, store::StoreBackend& store,
+  Registrar(sim::Simulator& simulator, store::Cluster& store,
             const ServiceConfig& config);
 
   /// Register (or re-register) a node. Persists static attribute rows to the
@@ -96,7 +96,7 @@ class Registrar {
   const StaticTable* find_table(AttrId attr) const;
 
   sim::Simulator& simulator_;
-  store::StoreBackend& store_;
+  store::Cluster& store_;
   const ServiceConfig& config_;
   std::unordered_map<NodeId, NodeEntry> nodes_;
   /// Primary tables indexed by interned attribute id (mirrors the store).

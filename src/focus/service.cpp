@@ -11,7 +11,7 @@ const obs::Name kSpanInternalQuery = obs::Name::intern("query.internal");
 }  // namespace
 
 Service::Service(sim::Simulator& simulator, net::Transport& transport,
-                 store::StoreBackend& store, NodeId server_node, ServiceConfig config,
+                 store::Cluster& store, NodeId server_node, ServiceConfig config,
                  ServerCostModel cost, std::uint64_t seed)
     : simulator_(simulator),
       transport_(transport),

@@ -27,7 +27,7 @@ inline constexpr std::uint16_t kInternalPort = 3;  ///< loopback (view seeding)
 class Service {
  public:
   Service(sim::Simulator& simulator, net::Transport& transport,
-          store::StoreBackend& store, NodeId server_node, ServiceConfig config,
+          store::Cluster& store, NodeId server_node, ServiceConfig config,
           ServerCostModel cost = {}, std::uint64_t seed = 0xf0c5);
   ~Service();
 

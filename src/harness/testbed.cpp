@@ -69,9 +69,6 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   topology_.place(kServerNode, Region::AppEdge);
   topology_.place(kAppNode, Region::AppEdge);
   topology_.place(kBrokerNode, Region::AppEdge);
-  // The store node only exists on the async path; gating the placement keeps
-  // the in-kernel-store world literally unchanged.
-  if (config_.async_store) topology_.place(kStoreNode, Region::AppEdge);
 
   // The shard layout is workload config: fix it before any shard index is
   // computed so Topology::shard_of is stable for the world's lifetime.
@@ -114,24 +111,12 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     }
   }
 
-  // One rng fork feeds the cluster wherever it lives, so flipping
-  // async_store never shifts the fork positions of anything built below.
-  const std::uint64_t store_seed = rng.fork().next_u64();
-  if (config_.async_store) {
-    // The cluster runs on the store node's own shard (an edge sub-shard when
-    // the app edge is split); the service reaches it through the
-    // message-routed frontend bound on a spare server port.
-    store_server_ = std::make_unique<store::StoreServer>(
-        simulator_for(kStoreNode), transport_for(kStoreNode),
-        net::Address{kStoreNode, 1}, config_.store, store_seed);
-    store_frontend_ = std::make_unique<store::StoreFrontend>(
-        *transport_, net::Address{kServerNode, 4}, store_server_->addr());
-  } else {
-    store_ =
-        std::make_unique<store::Cluster>(simulator_, config_.store, store_seed);
-  }
+  // The cluster's seed is one fork at this position; every fork below (and
+  // so every pinned digest) depends on it staying here.
+  store_ = std::make_unique<store::Cluster>(simulator_, config_.store,
+                                            rng.fork().next_u64());
   service_ = std::make_unique<core::Service>(simulator_, *transport_,
-                                             store_backend(), kServerNode,
+                                             *store_, kServerNode,
                                              config_.service,
                                              core::ServerCostModel{},
                                              rng.fork().next_u64());

@@ -21,6 +21,8 @@
 //    across edge sub-shards by the same consistent NodeId assignment, so the
 //    hottest shard no longer serializes the fleet.
 // per_edge_windows only picks the lookahead matrix the driver runs on.
+// The store cluster always runs inside the service kernel, next to the
+// service that calls it; there is no store node and no store traffic.
 
 #include <map>
 #include <memory>
@@ -38,7 +40,6 @@
 #include "obs/slo.hpp"
 #include "sim/sharded.hpp"
 #include "store/kvstore.hpp"
-#include "store/remote.hpp"
 
 namespace focus::harness {
 
@@ -46,9 +47,6 @@ namespace focus::harness {
 inline constexpr NodeId kServerNode{0};
 inline constexpr NodeId kBrokerNode{1};
 inline constexpr NodeId kAppNode{2};
-/// Store host when `async_store` is on (app edge, like the service): the
-/// Cluster lives on this node's shard and completions travel as messages.
-inline constexpr NodeId kStoreNode{3};
 inline constexpr std::uint32_t kManagerBase = 10;  ///< hierarchy managers
 inline constexpr std::uint32_t kAgentBase = 100;   ///< end nodes
 
@@ -91,15 +89,6 @@ struct TestbedConfig {
   /// digests differ (both are pinned), but each is byte-identical across
   /// `shards` worker counts. No effect on the one-kernel layout.
   bool per_edge_windows = false;
-
-  /// Host the store cluster on kStoreNode's own shard behind a message-routed
-  /// StoreFrontend/StoreServer pair (store/remote.hpp) instead of running it
-  /// inside the service kernel. Store completions become async transport
-  /// messages, so the service shard no longer serializes every replica round
-  /// trip. Workload config: changes digests (new node, new traffic), but not
-  /// across worker counts. Works on the one-kernel layout too (same kernel,
-  /// message hops only) — useful for differential testing.
-  bool async_store = false;
 
   /// When > 0, run the structural-invariant audit (focus/audit.hpp) every
   /// this many microseconds of simulated time and abort (FOCUS_CHECK) on the
@@ -203,20 +192,9 @@ class Testbed {
   }
 
   net::Topology& topology() noexcept { return topology_; }
-  /// The replica cluster, wherever it lives: in-kernel (async_store off) or
-  /// behind the StoreServer (async path). Replica inspection for tests.
-  store::Cluster& store() noexcept {
-    return store_ ? *store_ : store_server_->cluster();
-  }
-  /// The store surface the service programs against.
-  store::StoreBackend& store_backend() noexcept {
-    return store_frontend_ ? static_cast<store::StoreBackend&>(*store_frontend_)
-                           : static_cast<store::StoreBackend&>(*store_);
-  }
-  /// The message-routed frontend, or nullptr when async_store is off.
-  store::StoreFrontend* store_frontend() noexcept {
-    return store_frontend_.get();
-  }
+  /// The replica cluster (in the service kernel). Replica inspection and
+  /// failure injection for tests.
+  store::Cluster& store() noexcept { return *store_; }
   core::Service& service() noexcept { return *service_; }
   core::Client& client() noexcept { return *client_; }
   agent::NodeManager& agent(std::size_t i) { return agents_[i]; }
@@ -311,12 +289,8 @@ class Testbed {
   /// one resource walk plan for every node.
   std::shared_ptr<const agent::AgentConfig> agent_config_;
   std::shared_ptr<const agent::ResourceModel::StepPlan> step_plan_;
-  /// Exactly one of store_ / store_server_ exists: the in-kernel cluster
-  /// (async_store off) or the message-routed pair (on). Declared after the
-  /// transports so the frontend/server unbind before their transports die.
+  /// The replica cluster; runs in the service kernel (simulator_).
   std::unique_ptr<store::Cluster> store_;
-  std::unique_ptr<store::StoreServer> store_server_;
-  std::unique_ptr<store::StoreFrontend> store_frontend_;
   std::unique_ptr<core::Service> service_;
   std::unique_ptr<core::Client> client_;
   /// Agents live in a chunked arena: stable addresses (closures capture

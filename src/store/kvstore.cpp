@@ -104,69 +104,59 @@ void Cluster::put(const std::string& table, const std::string& key,
   // for same-instant writes.
   last_write_ts_ = std::max(last_write_ts_ + 1, simulator_.now());
   Row row{std::move(columns), last_write_ts_};
-
-  struct State {
-    int acks = 0;
-    int replies = 0;
-    int targets = 0;
-    bool done = false;
-  };
-  auto state = std::make_shared<State>();
-  auto shared_cb = std::make_shared<PutCallback>(std::move(cb));
-  const auto owner_list = owners(key);
-  state->targets = static_cast<int>(owner_list.size());
-
-  for (int owner : owner_list) {
-    const bool down = replicas_[static_cast<std::size_t>(owner)].down;
-    simulator_.schedule_after(
-        sample_latency(), [this, owner, down, table, key, row, state, shared_cb] {
-          if (!down && !replicas_[static_cast<std::size_t>(owner)].down) {
-            replicas_[static_cast<std::size_t>(owner)].data.apply_put(table, key, row);
-            ++state->acks;
-          }
-          ++state->replies;
-          if (state->done) return;
-          if (state->acks >= config_.write_quorum) {
-            state->done = true;
-            (*shared_cb)(true);
-          } else if (state->replies == state->targets) {
-            state->done = true;
-            (*shared_cb)(make_error(Errc::Unavailable, "write quorum not reached"));
-          }
-        });
-  }
+  replicate_write(
+      key, /*check_down_at_send=*/true,
+      [table, key, row = std::move(row)](ReplicaData& data) {
+        data.apply_put(table, key, row);
+      },
+      std::move(cb), "write quorum not reached");
 }
 
 void Cluster::erase(const std::string& table, const std::string& key, PutCallback cb) {
   last_write_ts_ = std::max(last_write_ts_ + 1, simulator_.now());
   const SimTime ts = last_write_ts_;
+  replicate_write(
+      key, /*check_down_at_send=*/false,
+      [table, key, ts](ReplicaData& data) { data.apply_erase(table, key, ts); },
+      std::move(cb), "delete quorum not reached");
+}
 
+void Cluster::replicate_write(const std::string& key, bool check_down_at_send,
+                              std::function<void(ReplicaData&)> apply,
+                              PutCallback cb, const char* failure) {
   struct State {
+    std::function<void(ReplicaData&)> apply;
+    PutCallback cb;
+    const char* failure = nullptr;
     int acks = 0;
     int replies = 0;
     int targets = 0;
     bool done = false;
   };
   auto state = std::make_shared<State>();
-  auto shared_cb = std::make_shared<PutCallback>(std::move(cb));
+  state->apply = std::move(apply);
+  state->cb = std::move(cb);
+  state->failure = failure;
   const auto owner_list = owners(key);
   state->targets = static_cast<int>(owner_list.size());
 
   for (int owner : owner_list) {
-    simulator_.schedule_after(sample_latency(), [this, owner, table, key, ts, state,
-                                                 shared_cb] {
-      if (!replicas_[static_cast<std::size_t>(owner)].down) {
-        replicas_[static_cast<std::size_t>(owner)].data.apply_erase(table, key, ts);
+    const bool down_at_send =
+        check_down_at_send && replicas_[static_cast<std::size_t>(owner)].down;
+    simulator_.schedule_after(sample_latency(), [this, owner, down_at_send, state] {
+      Replica& replica = replicas_[static_cast<std::size_t>(owner)];
+      if (!down_at_send && !replica.down) {
+        state->apply(replica.data);
         ++state->acks;
       }
       ++state->replies;
       if (state->done) return;
       if (state->acks >= config_.write_quorum) {
         state->done = true;
-        (*shared_cb)(true);
+        state->cb(true);
       } else if (state->replies == state->targets) {
         state->done = true;
-        (*shared_cb)(make_error(Errc::Unavailable, "delete quorum not reached"));
+        state->cb(make_error(Errc::Unavailable, state->failure));
       }
     });
   }

@@ -190,14 +190,20 @@ TEST(Integration, ServiceSurvivesStoreReplicaFailure) {
   ASSERT_TRUE(result.ok());
 
   // Static queries also survive (quorum still available).
-  for (std::size_t i = 0; i < bed.num_agents(); ++i) {
-    // (statics were registered at start; query by region instead)
-  }
   Query s;
   s.where_static("hypervisor", "qemu");  // registered by nobody -> empty, ok
   auto st = bed.query_and_wait(s);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st.value().source, core::ResponseSource::Store);
+
+  // With every replica down the store scan fails: the app sees Unavailable,
+  // not an empty "no node matches" answer.
+  for (int i = 0; i < bed.store().config().replicas; ++i) {
+    bed.store().set_replica_down(i, true);
+  }
+  auto outage = bed.query_and_wait(s);
+  ASSERT_FALSE(outage.ok());
+  EXPECT_EQ(outage.error().code, Errc::Unavailable);
 }
 
 TEST(Integration, TraceReplayAgainstFocusCompletes) {

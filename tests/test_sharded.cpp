@@ -309,7 +309,6 @@ ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
                                 unsigned data_sub_shards = 1,
                                 unsigned edge_sub_shards = 1,
                                 bool per_edge_windows = false,
-                                bool async_store = false,
                                 Duration record_interval = 0,
                                 Duration audit_interval = 0) {
   harness::TestbedConfig config;
@@ -319,7 +318,6 @@ ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
   config.data_sub_shards = data_sub_shards;
   config.edge_sub_shards = edge_sub_shards;
   config.per_edge_windows = per_edge_windows;
-  config.async_store = async_store;
   // Telemetry is observation-only, so recording runs reuse the
   // recording-off goldens; wall profiling rides along to get its
   // cross-thread hand-off under TSan.
@@ -674,64 +672,22 @@ TEST(PerEdgeDeterminism, ChurnScenarioMatchesGoldenDigest) {
 // confinement.
 TEST(ShardedTelemetry, RecordingOnMatchesRecordingOffGoldenDigest) {
   const ShardedRun uniform = run_sharded_scenario(
-      42, 2, 1, 1, /*per_edge=*/false, /*async=*/false, 100 * kMillisecond,
+      42, 2, 1, 1, /*per_edge=*/false, 100 * kMillisecond,
       /*audit_interval=*/1 * kSecond);
   EXPECT_EQ(uniform.digest, 1276291866252644938ull);
   EXPECT_EQ(uniform.results, 10u);
 
   const ShardedRun one = run_sharded_scenario(
-      42, 1, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
+      42, 1, 2, 2, /*per_edge=*/true, 100 * kMillisecond);
   const ShardedRun two = run_sharded_scenario(
-      42, 2, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
+      42, 2, 2, 2, /*per_edge=*/true, 100 * kMillisecond);
   const ShardedRun four = run_sharded_scenario(
-      42, 4, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
+      42, 4, 2, 2, /*per_edge=*/true, 100 * kMillisecond);
   EXPECT_EQ(one.digest, 2463241749083319352ull);
   EXPECT_EQ(two.digest, one.digest);
   EXPECT_EQ(four.digest, one.digest);
   EXPECT_EQ(one.results, 10u);
   EXPECT_EQ(one.executed, four.executed);
-}
-
-// ---------------------------------------------------------------------------
-// Async store: the message-routed store path must settle, answer queries and
-// stay deterministic — in legacy mode, and combined with per-edge sharding.
-
-TEST(AsyncStoreDeterminism, LegacyModeSettlesAndRepeats) {
-  harness::TestbedConfig config;
-  config.num_nodes = 25;
-  config.seed = 42;
-  config.async_store = true;
-  config.agent.dynamics.volatility = 0.02;
-  std::uint64_t digests[2];
-  for (auto& digest : digests) {
-    harness::Testbed bed(config);
-    bed.start();
-    ASSERT_TRUE(bed.settle());
-    core::Query query;
-    query.terms.push_back(core::QueryTerm{"ram_mb", 0, 1e9});
-    query.limit = 10;
-    const auto result = bed.query_and_wait(query);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().entries.size(), 10u);
-    // Registrations really reached the remote cluster.
-    EXPECT_GT(bed.store().replica(0).table_size("nodes"), 0u);
-    EXPECT_EQ(bed.store_frontend()->pending(), 0u);
-    digest = bed.digest();
-  }
-  EXPECT_EQ(digests[0], digests[1]);
-}
-
-TEST(AsyncStoreDeterminism, PerEdgeShardedDigestIdenticalAcrossWorkerCounts) {
-  const ShardedRun one =
-      run_sharded_scenario(42, 1, 2, 2, /*per_edge=*/true, /*async=*/true);
-  const ShardedRun four =
-      run_sharded_scenario(42, 4, 2, 2, /*per_edge=*/true, /*async=*/true);
-  const ShardedRun eight =
-      run_sharded_scenario(42, 8, 2, 2, /*per_edge=*/true, /*async=*/true);
-  EXPECT_EQ(one.digest, four.digest);
-  EXPECT_EQ(one.digest, eight.digest);
-  EXPECT_EQ(one.executed, eight.executed);
-  EXPECT_EQ(one.results, eight.results);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/sim_transport.hpp"
-#include "net/topology.hpp"
 #include "store/kvstore.hpp"
-#include "store/remote.hpp"
 
 namespace focus::store {
 namespace {
@@ -20,6 +17,13 @@ class StoreTest : public ::testing::Test {
     Result<bool> out = make_error(Errc::Timeout, "never completed");
     cluster_.put(table, key, std::move(columns),
                  [&](Result<bool> r) { out = std::move(r); });
+    simulator_.run();
+    return out;
+  }
+
+  Result<bool> erase_sync(const std::string& table, const std::string& key) {
+    Result<bool> out = make_error(Errc::Timeout, "never completed");
+    cluster_.erase(table, key, [&](Result<bool> r) { out = std::move(r); });
     simulator_.run();
     return out;
   }
@@ -59,10 +63,7 @@ TEST_F(StoreTest, OverwriteKeepsNewest) {
 
 TEST_F(StoreTest, EraseHidesRow) {
   ASSERT_TRUE(put_sync("t", "k", {{"v", Json(1)}}).ok());
-  Result<bool> erased = make_error(Errc::Timeout, "");
-  cluster_.erase("t", "k", [&](Result<bool> r) { erased = std::move(r); });
-  simulator_.run();
-  ASSERT_TRUE(erased.ok());
+  ASSERT_TRUE(erase_sync("t", "k").ok());
   EXPECT_EQ(get_sync("t", "k").error().code, Errc::NotFound);
 }
 
@@ -106,9 +107,35 @@ TEST_F(StoreTest, SurvivesOneReplicaDown) {
 TEST_F(StoreTest, QuorumLossFailsWrites) {
   cluster_.set_replica_down(0, true);
   cluster_.set_replica_down(1, true);
-  auto put = put_sync("t", "k", {{"v", Json(7)}});
+  const Result<bool> writes[] = {put_sync("t", "k", {{"v", Json(7)}}),
+                                 erase_sync("t", "k")};
+  for (const Result<bool>& write : writes) {
+    ASSERT_FALSE(write.ok());
+    EXPECT_EQ(write.error().code, Errc::Unavailable);
+  }
+}
+
+TEST_F(StoreTest, PutChecksReplicasAtSendEraseOnlyAtDelivery) {
+  // Two replicas are down when the write is sent and back up before it is
+  // delivered: a put never reaches them (quorum lost), an erase does.
+  const auto set_two_down = [this](bool down) {
+    cluster_.set_replica_down(0, down);
+    cluster_.set_replica_down(1, down);
+  };
+  Result<bool> put = make_error(Errc::Timeout, "never completed");
+  set_two_down(true);
+  cluster_.put("t", "k", {{"v", Json(7)}}, [&](Result<bool> r) { put = std::move(r); });
+  set_two_down(false);
+  simulator_.run();
   ASSERT_FALSE(put.ok());
   EXPECT_EQ(put.error().code, Errc::Unavailable);
+
+  Result<bool> erased = make_error(Errc::Timeout, "never completed");
+  set_two_down(true);
+  cluster_.erase("t", "k", [&](Result<bool> r) { erased = std::move(r); });
+  set_two_down(false);
+  simulator_.run();
+  EXPECT_TRUE(erased.ok());
 }
 
 TEST_F(StoreTest, QuorumLossFailsReads) {
@@ -183,120 +210,6 @@ TEST(ReplicaData, ApproxBytesGrowsWithData) {
   const auto empty = data.approx_bytes();
   data.apply_put("t", "k", Row{{{"column", Json("value")}}, 1});
   EXPECT_GT(data.approx_bytes(), empty);
-}
-
-// ---------------------------------------------------------------------------
-// Message-routed store (store/remote.hpp): the StoreFrontend/StoreServer pair
-// must behave like the in-kernel Cluster, with completions delivered as
-// transport messages instead of in-kernel closures.
-
-class RemoteStoreTest : public ::testing::Test {
- protected:
-  RemoteStoreTest()
-      : transport_(simulator_, topology_, Rng(77)),
-        server_(simulator_, transport_, net::Address{kStoreNode, 1},
-                ClusterConfig{}, 21),
-        frontend_(transport_, net::Address{kClientNode, 4}, server_.addr()) {
-    topology_.place(kClientNode, Region::AppEdge);
-    topology_.place(kStoreNode, Region::AppEdge);
-  }
-
-  static constexpr NodeId kClientNode{0};
-  static constexpr NodeId kStoreNode{3};
-
-  Result<bool> put_sync(const std::string& table, const std::string& key,
-                        std::map<std::string, Json> columns) {
-    Result<bool> out = make_error(Errc::Timeout, "never completed");
-    frontend_.put(table, key, std::move(columns),
-                  [&](Result<bool> r) { out = std::move(r); });
-    simulator_.run();
-    return out;
-  }
-
-  Result<Row> get_sync(const std::string& table, const std::string& key) {
-    Result<Row> out = make_error(Errc::Timeout, "never completed");
-    frontend_.get(table, key, [&](Result<Row> r) { out = std::move(r); });
-    simulator_.run();
-    return out;
-  }
-
-  sim::Simulator simulator_;
-  net::Topology topology_;
-  net::SimTransport transport_;
-  StoreServer server_;
-  StoreFrontend frontend_;
-};
-
-TEST_F(RemoteStoreTest, PutThenGetRoundTripsThroughMessages) {
-  ASSERT_TRUE(put_sync("t", "k", {{"v", Json(5)}}).ok());
-  auto row = get_sync("t", "k");
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row.value().columns.at("v").as_int(), 5);
-  EXPECT_EQ(frontend_.pending(), 0u);
-  // The round trips really went over the wire: the store node has traffic.
-  EXPECT_GT(transport_.stats().of(kStoreNode).msgs_rx, 0u);
-  EXPECT_GT(transport_.stats().of(kStoreNode).msgs_tx, 0u);
-}
-
-TEST_F(RemoteStoreTest, GetMissingIsNotFound) {
-  const auto row = get_sync("t", "missing");
-  ASSERT_FALSE(row.ok());
-  EXPECT_EQ(row.error().code, Errc::NotFound);
-}
-
-TEST_F(RemoteStoreTest, EraseHidesRowAndScanSeesLiveRowsOnly) {
-  ASSERT_TRUE(put_sync("t", "a", {{"v", Json(1)}}).ok());
-  ASSERT_TRUE(put_sync("t", "b", {{"v", Json(2)}}).ok());
-  Result<bool> erased = make_error(Errc::Timeout, "");
-  frontend_.erase("t", "a", [&](Result<bool> r) { erased = std::move(r); });
-  simulator_.run();
-  ASSERT_TRUE(erased.ok());
-  Result<std::vector<std::pair<std::string, Row>>> rows =
-      make_error(Errc::Timeout, "");
-  frontend_.scan("t", [&](auto r) { rows = std::move(r); });
-  simulator_.run();
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_EQ(rows.value()[0].first, "b");
-}
-
-TEST_F(RemoteStoreTest, QuorumLossSurfacesAsError) {
-  server_.cluster().set_replica_down(0, true);
-  server_.cluster().set_replica_down(1, true);
-  const auto put = put_sync("t", "k", {{"v", Json(1)}});
-  ASSERT_FALSE(put.ok());
-  EXPECT_EQ(put.error().code, Errc::Unavailable);
-  EXPECT_EQ(frontend_.pending(), 0u);
-}
-
-TEST_F(RemoteStoreTest, CompletionsCostMessageHopsOnTopOfStoreLatency) {
-  // One put = request hop + cluster quorum round trip + reply hop: strictly
-  // slower than the in-kernel path's bare op latency, and nonzero.
-  const SimTime before = simulator_.now();
-  ASSERT_TRUE(put_sync("t", "k", {{"v", Json(1)}}).ok());
-  EXPECT_GT(simulator_.now(), before + ClusterConfig{}.op_latency / 2);
-}
-
-TEST_F(RemoteStoreTest, InterleavedOpsDispatchBySequentialOpId) {
-  // Fire a burst without draining: replies must find their own callbacks.
-  int puts = 0;
-  Result<Row> got = make_error(Errc::Timeout, "");
-  for (int i = 0; i < 4; ++i) {
-    std::string key = "k";
-    key += std::to_string(i);
-    frontend_.put("t", key, {{"v", Json(i)}},
-                  [&](Result<bool> r) { puts += r.ok() ? 1 : 0; });
-  }
-  frontend_.get("t", "k2", [&](Result<Row> r) { got = std::move(r); });
-  EXPECT_EQ(frontend_.pending(), 5u);
-  simulator_.run();
-  EXPECT_EQ(puts, 4);
-  EXPECT_EQ(frontend_.pending(), 0u);
-  // The get raced the puts over independent message hops; either outcome is
-  // legal, but a completed get must carry k2's value.
-  if (got.ok()) {
-    EXPECT_EQ(got.value().columns.at("v").as_int(), 2);
-  }
 }
 
 TEST(StoreConfig, SingleReplicaClusterWorks) {
