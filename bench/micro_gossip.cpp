@@ -121,7 +121,7 @@ void BM_MemberListSync(benchmark::State& state) {
   gossip::MemberTable table;
   for (std::uint32_t i = 1; i <= 400; ++i) {
     const std::uint32_t slot = table.insert(NodeId{i}, gossip::MemberState::Alive);
-    table.set_addr(slot, net::Address{NodeId{i}, 100});
+    table.set_port(slot, 100);
     table.set_incarnation(slot, i);
   }
   gossip::MemberListPayload payload;
@@ -130,7 +130,7 @@ void BM_MemberListSync(benchmark::State& state) {
     table.for_each([&](const gossip::MemberInfo& info) {
       gossip::MemberUpdate update;
       update.node = info.id;
-      update.addr = info.addr;
+      update.port = info.addr.port;
       update.region = info.region;
       update.state = info.state;
       update.incarnation = info.incarnation;
@@ -150,7 +150,7 @@ void BM_AliveViewRebuild(benchmark::State& state) {
   gossip::MemberTable table;
   for (std::uint32_t i = 1; i <= 25000; ++i) {
     const std::uint32_t slot = table.insert(NodeId{i}, gossip::MemberState::Alive);
-    table.set_addr(slot, net::Address{NodeId{i}, 100});
+    table.set_port(slot, 100);
   }
   for (auto _ : state) {
     // Toggle one member across the alive/dead boundary so every iteration

@@ -238,8 +238,15 @@ int main(int argc, char** argv) {
   run["events"] = static_cast<std::int64_t>(events);
   run["wall_seconds"] = wall_seconds;
   run["events_per_sec"] = events_per_sec;
-  run["peak_rss_kb"] = static_cast<std::int64_t>(peak_rss_kb());
+  const long peak_kb = peak_rss_kb();
+  run["peak_rss_kb"] = static_cast<std::int64_t>(peak_kb);
   run["bytes_per_node"] = bytes_per_node;
+  // Whole-run peak per node: unlike bytes_per_node (the build alone) it
+  // includes the membership state gossip accumulates after start.
+  run["peak_bytes_per_node"] =
+      opt.nodes > 0 ? static_cast<double>(peak_kb) * 1024.0 /
+                          static_cast<double>(opt.nodes)
+                    : 0.0;
   run["digest"] = std::to_string(bed.digest());
   // Recorded only in sharded mode so stock one-kernel entries keep their schema
   // (absent == 0; --compare matches baseline entries on this key).

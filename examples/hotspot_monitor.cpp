@@ -92,9 +92,10 @@ int main() {
   hot_view.where_at_least("cpu_usage", 75);
   bed.client().subscribe_view(
       hot_view,
-      [&](std::uint64_t id, std::vector<core::ResultEntry> initial) {
+      [&](std::uint64_t id, Result<std::vector<core::ResultEntry>> initial) {
+        if (!initial.ok()) return;  // seed failed: the view was withdrawn
         view_id = id;
-        view_members = initial.size();
+        view_members = initial.value().size();
       },
       [&](const core::ViewUpdate& update) {
         update.entered ? ++enters : ++leaves;

@@ -15,10 +15,11 @@
 # BENCH_core.json), so pinned large-fleet, sharded or sub-sharded entries
 # never get diffed against the stock
 # 400-node run. Any tracked micro bench more than 25% slower, scenario
-# throughput more than 25% lower, or bytes_per_node more than 25% higher,
-# makes the script exit non-zero. Intended as an informational CI gate —
-# shared runners are noisy, so treat failures as a prompt to re-measure, not
-# as ground truth.
+# throughput more than 25% lower, or bytes_per_node (build footprint) or
+# peak_bytes_per_node (whole-run peak RSS per node, membership state
+# included) more than 25% higher, makes the script exit non-zero. Intended
+# as an informational CI gate — shared runners are noisy, so treat failures
+# as a prompt to re-measure, not as ground truth.
 #
 # Environment:
 #   LABEL     trajectory label (default: current git short sha)
@@ -193,15 +194,18 @@ if old_eps and new_eps:
     if ratio < 1 - THRESHOLD:
         failures.append("scenario_throughput")
 
-old_bpn = baseline.get("bytes_per_node")
-new_bpn = fresh.get("bytes_per_node")
-if old_bpn and new_bpn:
+for key, title in (("bytes_per_node", "scenario bytes/node"),
+                   ("peak_bytes_per_node", "scenario peak bytes/node")):
+    old_bpn = baseline.get(key)
+    new_bpn = fresh.get(key)
+    if not old_bpn or not new_bpn:
+        continue  # entries older than the metric carry no baseline
     ratio = new_bpn / old_bpn
     marker = " <-- REGRESSION" if ratio > 1 + THRESHOLD else ""
-    print(f"{'scenario bytes/node':40s} {old_bpn:14.1f}    -> {new_bpn:14.1f}     "
+    print(f"{title:40s} {old_bpn:14.1f}    -> {new_bpn:14.1f}     "
           f"({ratio:5.2f}x){marker}")
     if ratio > 1 + THRESHOLD:
-        failures.append("bytes_per_node")
+        failures.append(key)
 
 if baseline.get("digest") and fresh.get("digest") and \
         baseline["digest"] != fresh["digest"]:

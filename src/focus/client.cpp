@@ -97,6 +97,12 @@ void Client::handle_view_ack(const net::Message& msg) {
   if (it == pending_views_.end()) return;
   PendingView pending = std::move(it->second);
   pending_views_.erase(it);
+  if (!ack.error.empty()) {
+    if (pending.on_ready) {
+      pending.on_ready(ack.view_id, make_error(Errc::Unavailable, ack.error));
+    }
+    return;
+  }
   view_handlers_.emplace(ack.view_id, std::move(pending.on_update));
   if (pending.on_ready) pending.on_ready(ack.view_id, ack.initial);
 }
@@ -110,7 +116,7 @@ void Client::handle_view_notify(const net::Message& msg) {
   update.view_id = notify.view_id;
   update.entered = notify.entered;
   update.entry = notify.entry;
-  it->second(update);
+  if (it->second) it->second(update);
 }
 
 void Client::handle_response(const net::Message& msg) {

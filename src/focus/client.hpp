@@ -48,10 +48,12 @@ class Client {
   void query(Query query, Callback cb);
 
   /// Materialized views (§XII extension): register a standing query.
-  /// `on_ready` fires once with the view id and the seeded initial members;
-  /// `on_update` fires for every later membership change.
-  using ViewReadyCallback =
-      std::function<void(std::uint64_t view_id, std::vector<ResultEntry> initial)>;
+  /// `on_ready` fires once with the view id and the seeded initial members,
+  /// or with Errc::Unavailable when the seed failed (the service withdrew
+  /// the view; no update follows). `on_update` fires for every later
+  /// membership change. Either callback may be empty.
+  using ViewReadyCallback = std::function<void(
+      std::uint64_t view_id, Result<std::vector<ResultEntry>> initial)>;
   using ViewUpdateCallback = std::function<void(const ViewUpdate&)>;
   void subscribe_view(Query query, ViewReadyCallback on_ready,
                       ViewUpdateCallback on_update);

@@ -195,14 +195,16 @@ struct ViewRegisterPayload final : net::Payload {
   std::size_t wire_size() const override { return 20 + wire_size_of(query); }
 };
 
-/// Service -> application: the view id plus the seeded initial members.
+/// Service -> application: the view id plus the seeded initial members, or
+/// (non-empty `error`) the reason the seed failed and the view was withdrawn.
 struct ViewAckPayload final : net::Payload {
   std::uint64_t client_tag = 0;
   std::uint64_t view_id = 0;
   std::vector<ResultEntry> initial;
+  std::string error;
 
   std::size_t wire_size() const override {
-    std::size_t bytes = 20;
+    std::size_t bytes = 20 + error.size();
     for (const auto& e : initial) bytes += wire_size_of(e);
     return bytes;
   }

@@ -35,19 +35,27 @@ void ViewManager::handle_register(const net::Message& msg) {
 
   // Seed through the ordinary query path, then ack the subscriber with the
   // initial membership. Events arriving before the seed are merged on top.
+  // A failed seed (store outage on a static query) withdraws the view: a
+  // view acked with only the events that raced the seed would read as a
+  // complete match set.
   const std::uint64_t client_tag = reg.client_tag;
   const net::Address subscriber = reg.subscriber;
   seed_(views_.at(id).query, [this, id, client_tag, subscriber](QueryResult result) {
     auto it = views_.find(id);
     if (it == views_.end()) return;  // unregistered while seeding
-    for (const auto& entry : result.entries) {
-      it->second.members.emplace(entry.node, entry);
-    }
     auto ack = std::make_shared<ViewAckPayload>();
     ack->client_tag = client_tag;
     ack->view_id = id;
-    for (const auto& [node, entry] : it->second.members) {
-      ack->initial.push_back(entry);
+    if (!result.error.empty()) {
+      withdraw(id);
+      ack->error = std::move(result.error);
+    } else {
+      for (const auto& entry : result.entries) {
+        it->second.members.emplace(entry.node, entry);
+      }
+      for (const auto& [node, entry] : it->second.members) {
+        ack->initial.push_back(entry);
+      }
     }
     transport_.send(net::Message{north_addr_, subscriber, kViewAck, std::move(ack)});
   });
@@ -55,11 +63,15 @@ void ViewManager::handle_register(const net::Message& msg) {
 
 void ViewManager::handle_unregister(const net::Message& msg) {
   const auto& unreg = msg.as<ViewUnregisterPayload>();
-  if (views_.erase(unreg.view_id) == 0) return;
-  ++stats_.unregistered;
+  if (withdraw(unreg.view_id)) ++stats_.unregistered;
+}
+
+bool ViewManager::withdraw(std::uint64_t view_id) {
+  if (views_.erase(view_id) == 0) return false;
   for (const auto& [node, entry] : registrar_.directory()) {
-    push_install(entry.command_addr, {}, {unreg.view_id});
+    push_install(entry.command_addr, {}, {view_id});
   }
+  return true;
 }
 
 void ViewManager::handle_event(const net::Message& msg) {

@@ -75,6 +75,9 @@ class ViewManager {
   };
 
   void notify(const View& view, bool entered, const ResultEntry& entry);
+  /// Forget a view and remove its predicate from every registered node;
+  /// false when the view is unknown.
+  bool withdraw(std::uint64_t view_id);
   void push_install(const net::Address& command_addr,
                     const std::vector<ViewSpec>& install,
                     const std::vector<std::uint64_t>& withdraw);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "gossip/growth.hpp"
 
 namespace focus::gossip {
 
@@ -79,6 +80,7 @@ FOCUS_HOT void PiggybackBuffer::add(const MemberUpdate& update, int copies) {
       return;
     }
   }
+  reserve_one_more(entries_);
   if (needs_sort_) {
     // Order is already pending a rebuild; appending keeps insertion order,
     // which the eventual stable sort preserves among equal budgets.

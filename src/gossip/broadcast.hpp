@@ -3,7 +3,6 @@
 // this agent still owes the group, and which event ids it has already seen.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -66,7 +65,7 @@ class EventBuffer {
   /// Insert `id`; false when it was already present.
   bool seen_insert(EventId id);
 
-  std::deque<Entry> pending_;
+  std::vector<Entry> pending_;  ///< usually empty: no per-agent node block
   std::vector<SeenCell> seen_cells_;  ///< power-of-two size (or empty)
   std::size_t seen_count_ = 0;
 };
@@ -78,7 +77,9 @@ class EventBuffer {
 /// Entries are kept sorted by remaining copies (descending, insertion-stable
 /// among equals) so take_into() reads a prefix instead of re-sorting the
 /// whole buffer per send; the occasional in-place refresh that breaks the
-/// order just flags a lazy re-sort.
+/// order just flags a lazy re-sort. An entry is 16 bytes (a 12-byte update
+/// plus its budget) and the buffer grows by 1.25x: every member an agent
+/// learns sits here until its copies are spent.
 class PiggybackBuffer {
  public:
   /// Queue an update for dissemination with the given copy budget.
@@ -112,6 +113,11 @@ class PiggybackBuffer {
     int copies_left = 0;
   };
 
+ public:
+  /// Bytes of one buffered entry.
+  static constexpr std::size_t kEntryBytes = sizeof(Entry);
+
+ private:
   void ensure_sorted();
 
   std::vector<Entry> entries_;

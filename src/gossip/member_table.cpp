@@ -1,19 +1,27 @@
 #include "gossip/member_table.hpp"
 
 #include "common/check.hpp"
+#include "gossip/growth.hpp"
 
 namespace focus::gossip {
 
 std::uint32_t MemberTable::insert(NodeId id, MemberState initial) {
-  FOCUS_DCHECK(index_find(id) == kNil)
+  FOCUS_DCHECK(find_slot(id) == kNoSlot)
       << "duplicate member insert " << to_string(id);
   const auto pos = static_cast<std::uint32_t>(cold_.size());
+  if (cold_.size() == cold_.capacity()) {
+    const std::size_t cap = grown_capacity(cold_.capacity());
+    state_.reserve(cap);
+    incarnation_.reserve(cap);
+    since_.reserve(cap);
+    cold_.reserve(cap);
+  }
   state_.push_back(initial);
   incarnation_.push_back(0);
   since_.push_back(0);
   Cold& cold = cold_.emplace_back();
   cold.id = id;
-  index_insert(id, pos);
+  index_.find_or_insert(id).slot = pos;
   gone_ += static_cast<std::size_t>(is_gone(initial));
   dirty_ = true;
   return pos;
@@ -36,104 +44,20 @@ FOCUS_HOT const std::vector<std::uint32_t>& MemberTable::alive_slots() const {
 
 void MemberTable::erase_slot(std::uint32_t pos) {
   gone_ -= static_cast<std::size_t>(is_gone(state_[pos]));
-  index_erase(cold_[pos].id);
+  index_.erase(cold_[pos].id);
   const auto last = static_cast<std::uint32_t>(cold_.size() - 1);
   if (pos != last) {
     state_[pos] = state_[last];
     incarnation_[pos] = incarnation_[last];
     since_[pos] = since_[last];
-    cold_[pos] = std::move(cold_[last]);
-    index_update(cold_[pos].id, pos);
+    cold_[pos] = cold_[last];
+    index_.find(cold_[pos].id)->slot = pos;
   }
   state_.pop_back();
   incarnation_.pop_back();
   since_.pop_back();
   cold_.pop_back();
   dirty_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// NodeId index: open addressing with linear probing; deletion backward-shifts
-// the probe run (no tombstones), so the layout — and therefore every
-// iteration that consults it — is a pure function of the insert/erase
-// history and stays deterministic across runs.
-
-std::uint64_t MemberTable::hash_id(NodeId id) noexcept {
-  // splitmix64-style finalizer: node ids are dense small integers, spread
-  // them over the whole table.
-  auto x = static_cast<std::uint64_t>(id.value);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-void MemberTable::index_grow() {
-  const std::size_t new_size = index_.empty() ? 16 : index_.size() * 2;
-  std::vector<IndexCell> old = std::move(index_);
-  index_.assign(new_size, IndexCell{});
-  const std::size_t mask = new_size - 1;
-  for (const IndexCell& cell : old) {
-    if (cell.pos == kNil) continue;
-    std::size_t i = hash_id(cell.key) & mask;
-    while (index_[i].pos != kNil) i = (i + 1) & mask;
-    index_[i] = cell;
-  }
-}
-
-void MemberTable::index_insert(NodeId id, std::uint32_t pos) {
-  // Keep load factor under 3/4 so probe runs stay short.
-  if ((index_count_ + 1) * 4 > index_.size() * 3) index_grow();
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (index_[i].pos != kNil) i = (i + 1) & mask;
-  index_[i] = IndexCell{id, pos};
-  ++index_count_;
-}
-
-void MemberTable::index_erase(NodeId id) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  // The entry exists (callers erase only known members) and probe runs are
-  // compact, so this terminates at the entry.
-  while (index_[i].pos == kNil || !(index_[i].key == id)) i = (i + 1) & mask;
-  for (;;) {
-    index_[i].pos = kNil;
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (index_[j].pos == kNil) {
-        --index_count_;
-        return;
-      }
-      const std::size_t home = hash_id(index_[j].key) & mask;
-      const bool movable =
-          (i <= j) ? (home <= i || home > j) : (home <= i && home > j);
-      if (movable) break;
-    }
-    index_[i] = index_[j];
-    i = j;
-  }
-}
-
-std::uint32_t MemberTable::index_find(NodeId id) const noexcept {
-  if (index_count_ == 0) return kNil;
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (index_[i].pos != kNil) {
-    if (index_[i].key == id) return index_[i].pos;
-    i = (i + 1) & mask;
-  }
-  return kNil;
-}
-
-void MemberTable::index_update(NodeId id, std::uint32_t pos) noexcept {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (index_[i].pos == kNil || !(index_[i].key == id)) i = (i + 1) & mask;
-  index_[i].pos = pos;
 }
 
 }  // namespace focus::gossip

@@ -8,14 +8,16 @@
 // suspect/tombstone deadline (`since`) — live in parallel dense arrays, so
 // the per-period scans (alive-view rebuild, tombstone sweep, suspicion
 // checks) walk 1+4+8 bytes per member instead of the full ~48-byte record
-// with its embedded address. Cold fields (id, address, region, change epoch)
-// stay in their own slab, touched only when a member is materialized for a
-// wire update.
+// with its embedded address. Cold fields (id, port, region, change epoch)
+// stay in their own 16-byte rows, touched only when a member is materialized
+// for a wire update. A member's address is its own id plus a port (see
+// MemberUpdate), so the row stores the port alone. Columns grow by 1.25x
+// (gossip/growth.hpp), not by doubling.
 //
 // Layout invariants are unchanged from the AoS table: members occupy slots
 // [0, size) in insert order with deterministic swap-erase compaction, the
-// NodeId index is open-addressing with linear probing and backward-shift
-// deletion (layout a pure function of the insert/erase history), and the
+// NodeId index is a NodeMap (open addressing, linear probing, backward-shift
+// deletion: layout a pure function of the insert/erase history), and the
 // alive view is a lazily rebuilt slot vector in slab order — so every
 // iteration order, and therefore `sample_alive`'s RNG draw order, is
 // byte-identical to the AoS table across any transition history.
@@ -25,6 +27,7 @@
 
 #include "common/types.hpp"
 #include "gossip/messages.hpp"
+#include "gossip/node_map.hpp"
 #include "net/message.hpp"
 
 namespace focus::gossip {
@@ -65,7 +68,10 @@ class MemberTable {
   std::uint32_t insert(NodeId id, MemberState initial);
 
   /// Slot of a member, or kNoSlot when unknown.
-  std::uint32_t find_slot(NodeId id) const noexcept { return index_find(id); }
+  std::uint32_t find_slot(NodeId id) const noexcept {
+    const IndexCell* cell = index_.find(id);
+    return cell == nullptr ? kNoSlot : cell->slot;
+  }
 
   // -- Hot columns (scanned every protocol period) --------------------------
   MemberState state(std::uint32_t slot) const noexcept { return state_[slot]; }
@@ -90,10 +96,11 @@ class MemberTable {
   }
   void set_since(std::uint32_t slot, SimTime t) noexcept { since_[slot] = t; }
 
-  // -- Cold slab (touched when materializing a member) ----------------------
+  // -- Cold rows (touched when materializing a member) ----------------------
   NodeId id(std::uint32_t slot) const noexcept { return cold_[slot].id; }
-  const net::Address& addr(std::uint32_t slot) const noexcept {
-    return cold_[slot].addr;
+  /// The member's gossip endpoint: its own id at the stored port.
+  net::Address addr(std::uint32_t slot) const noexcept {
+    return net::Address{cold_[slot].id, cold_[slot].port};
   }
   Region region(std::uint32_t slot) const noexcept {
     return cold_[slot].region;
@@ -101,8 +108,8 @@ class MemberTable {
   std::uint64_t changed_epoch(std::uint32_t slot) const noexcept {
     return cold_[slot].changed_epoch;
   }
-  void set_addr(std::uint32_t slot, const net::Address& a) noexcept {
-    cold_[slot].addr = a;
+  void set_port(std::uint32_t slot, std::uint16_t port) noexcept {
+    cold_[slot].port = port;
   }
   void set_region(std::uint32_t slot, Region r) noexcept {
     cold_[slot].region = r;
@@ -114,8 +121,9 @@ class MemberTable {
   /// Materialized snapshot of one slot (all columns).
   MemberInfo info(std::uint32_t slot) const {
     const Cold& c = cold_[slot];
-    return MemberInfo{c.id,          c.addr,      c.region, state_[slot],
-                      incarnation_[slot], since_[slot], c.changed_epoch};
+    return MemberInfo{c.id, net::Address{c.id, c.port}, c.region,
+                      state_[slot], incarnation_[slot], since_[slot],
+                      c.changed_epoch};
   }
 
   std::size_t size() const noexcept { return cold_.size(); }
@@ -144,7 +152,7 @@ class MemberTable {
 
   /// Erase tombstones older than `ttl`, invoking fn(id) per erased member.
   /// O(1) when no tombstone exists; otherwise a hot-column scan (state +
-  /// since), touching the cold slab only for members actually erased.
+  /// since), touching the cold rows only for members actually erased.
   template <typename Fn>
   void sweep_tombstones(SimTime now, Duration ttl, Fn&& on_erase) {
     if (gone_ == 0) return;
@@ -160,34 +168,32 @@ class MemberTable {
   }
 
  private:
-  static constexpr std::uint32_t kNil = kNoSlot;
   struct IndexCell {
     NodeId key;
-    std::uint32_t pos = kNil;  ///< kNil marks an empty cell
+    std::uint32_t slot = 0;
   };
   /// Fields not consulted by the per-period scans.
   struct Cold {
     NodeId id;
-    net::Address addr;
+    std::uint16_t port = 0;
     Region region = Region::AppEdge;
     std::uint64_t changed_epoch = 0;
   };
 
-  static std::uint64_t hash_id(NodeId id) noexcept;
-  void index_grow();
-  void index_insert(NodeId id, std::uint32_t pos);
-  void index_erase(NodeId id);
-  std::uint32_t index_find(NodeId id) const noexcept;
-  void index_update(NodeId id, std::uint32_t pos) noexcept;
+ public:
+  /// Bytes of one cold row.
+  static constexpr std::size_t kColdRowBytes = sizeof(Cold);
+
+ private:
   void erase_slot(std::uint32_t pos);
 
-  // Parallel columns; state_/incarnation_/since_/cold_ share slot order.
+  // Parallel columns; state_/incarnation_/since_/cold_ share slot order and
+  // capacity.
   std::vector<MemberState> state_;
   std::vector<std::uint32_t> incarnation_;
   std::vector<SimTime> since_;
   std::vector<Cold> cold_;
-  std::vector<IndexCell> index_;
-  std::size_t index_count_ = 0;
+  NodeMap<IndexCell> index_;
   std::size_t gone_ = 0;
   mutable std::vector<std::uint32_t> alive_cache_;
   mutable bool dirty_ = false;

@@ -178,6 +178,7 @@ FOCUS_HOT void GroupAgent::probe_round() {
 
 void GroupAgent::refresh_probe_order() {
   probe_order_.clear();
+  probe_order_.reserve(members_.alive_slots().size());  // exact, not doubled
   for (const std::uint32_t slot : members_.alive_slots()) {
     probe_order_.push_back(members_.id(slot));
   }
@@ -387,7 +388,7 @@ void GroupAgent::apply_update(const MemberUpdate& update) {
       return;  // no need to learn about nodes already gone
     }
     const std::uint32_t slot = members_.insert(update.node, update.state);
-    members_.set_addr(slot, update.addr);
+    members_.set_port(slot, update.port);
     members_.set_region(slot, update.region);
     members_.set_incarnation(slot, update.incarnation);
     members_.set_since(slot, simulator_.now());
@@ -415,7 +416,7 @@ void GroupAgent::apply_update(const MemberUpdate& update) {
         accepted = false;  // leave is final for that incarnation
       } else if (update.incarnation == held_incarnation &&
                  held == MemberState::Alive) {
-        members_.set_addr(slot, update.addr);  // benign refresh
+        members_.set_port(slot, update.port);  // benign refresh
       }
       break;
     case MemberState::Suspect:
@@ -435,7 +436,7 @@ void GroupAgent::apply_update(const MemberUpdate& update) {
 
   members_.set_state(slot, update.state);
   members_.set_incarnation(slot, update.incarnation);
-  members_.set_addr(slot, update.addr);
+  members_.set_port(slot, update.port);
   members_.set_region(slot, update.region);
   members_.set_since(slot, simulator_.now());
   members_.set_changed_epoch(slot, ++member_epoch_);
@@ -498,7 +499,7 @@ FOCUS_HOT void GroupAgent::queue_update(const MemberUpdate& update) {
 MemberUpdate GroupAgent::self_update(MemberState state) const {
   MemberUpdate u;
   u.node = self_.node;
-  u.addr = self_;
+  u.port = self_.port;
   u.region = region_;
   u.state = state;
   u.incarnation = incarnation_;
@@ -508,7 +509,7 @@ MemberUpdate GroupAgent::self_update(MemberState state) const {
 MemberUpdate GroupAgent::update_for(const MemberInfo& info) {
   MemberUpdate u;
   u.node = info.id;
-  u.addr = info.addr;
+  u.port = info.addr.port;
   u.region = info.region;
   u.state = info.state;
   u.incarnation = info.incarnation;
@@ -518,7 +519,7 @@ MemberUpdate GroupAgent::update_for(const MemberInfo& info) {
 FOCUS_HOT void GroupAgent::fill_member_list(MemberListPayload& out,
                                             NodeId peer,
                                   bool force_full) {
-  SyncCursor& cursor = sync_sent_[peer];
+  SyncCursor& cursor = sync_sent_.find_or_insert(peer);
   const bool full = force_full || cursor.epoch == 0 ||
                     config_->sync_full_every <= 1 ||
                     cursor.deltas_since_full + 1 >= config_->sync_full_every;

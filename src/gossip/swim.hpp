@@ -30,6 +30,7 @@
 #include "gossip/config.hpp"
 #include "gossip/member_table.hpp"
 #include "gossip/messages.hpp"
+#include "gossip/node_map.hpp"
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"
 
@@ -132,16 +133,17 @@ class GroupAgent {
   /// Visit the per-peer delta-sync cursors: fn(peer, epoch).
   template <typename Fn>
   void for_each_sync_cursor(Fn&& fn) const {
-    for (const auto& [peer, cur] : sync_sent_) fn(peer, cur.epoch);
+    sync_sent_.for_each([&fn](const SyncCursor& cur) { fn(cur.key, cur.epoch); });
   }
 
  private:
-  /// Sender-side anti-entropy state for one peer: our change epoch as of the
-  /// last list we sent them, and how many deltas ran since the last full
-  /// snapshot.
+  /// Sender-side anti-entropy state for one peer (`key`): our change epoch
+  /// as of the last list we sent them, and how many deltas ran since the
+  /// last full snapshot. One 16-byte NodeMap cell.
   struct SyncCursor {
+    NodeId key;
+    std::int32_t deltas_since_full = 0;
     std::uint64_t epoch = 0;
-    int deltas_since_full = 0;
   };
 
   void tick();
@@ -189,7 +191,7 @@ class GroupAgent {
   // Monotone counter bumped on every accepted membership change; members
   // stamp it so anti-entropy can ship "changed since cursor" deltas.
   std::uint64_t member_epoch_ = 0;
-  std::unordered_map<NodeId, SyncCursor> sync_sent_;
+  NodeMap<SyncCursor> sync_sent_;
 
   // Reused scratch: random-target samples (and the O(fanout) table of
   // positions their sparse shuffle displaced) and per-round event batches.

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gossip/member_table.hpp"
+#include "gossip/node_map.hpp"
 
 namespace focus::gossip {
 namespace {
@@ -120,6 +122,12 @@ std::vector<Op> make_churn_script(std::uint64_t seed, std::size_t length) {
   return script;
 }
 
+// Port a member listens on: varies with the node and its incarnation so the
+// address round-trip check sees distinct values.
+std::uint16_t port_of(NodeId node, std::uint32_t incarnation) {
+  return static_cast<std::uint16_t>(100 + (node.value * 7 + incarnation) % 900);
+}
+
 // Drive both tables through the script; after every op the slot layout,
 // alive view, gone count, and a seeded sample draw must agree.
 void replay_and_compare(std::uint64_t seed) {
@@ -154,9 +162,9 @@ void replay_and_compare(std::uint64_t seed) {
       case Op::Insert: {
         const std::uint32_t s1 = soa.insert(op.node, op.state);
         soa.set_since(s1, now);
-        soa.set_addr(s1, net::Address{op.node, 9});
+        soa.set_port(s1, port_of(op.node, 0));
         const std::uint32_t s2 = aos.insert(op.node, op.state, now);
-        aos.at(s2).addr = net::Address{op.node, 9};
+        aos.at(s2).addr = net::Address{op.node, port_of(op.node, 0)};
         ASSERT_EQ(s1, s2);
         break;
       }
@@ -168,9 +176,13 @@ void replay_and_compare(std::uint64_t seed) {
         soa.set_state(s1, op.state);
         soa.set_since(s1, now);
         soa.set_incarnation(s1, soa.incarnation(s1) + 1);
+        // A transition may re-announce the member on a new port.
+        soa.set_port(s1, port_of(op.node, soa.incarnation(s1)));
         aos.at(s2).state = op.state;
         aos.at(s2).since = now;
         ++aos.at(s2).incarnation;
+        aos.at(s2).addr =
+            net::Address{op.node, port_of(op.node, aos.at(s2).incarnation)};
         break;
       }
       case Op::Sweep: {
@@ -197,6 +209,8 @@ void replay_and_compare(std::uint64_t seed) {
       EXPECT_EQ(got.incarnation, want.incarnation);
       EXPECT_EQ(got.since, want.since);
       EXPECT_EQ(got.addr, want.addr);
+      // The stored port plus the slot's id round-trip to the full address.
+      EXPECT_EQ(soa.addr(s), want.addr);
       // The id index resolves every slot's id back to that slot.
       EXPECT_EQ(soa.find_slot(got.id), s);
     }
@@ -268,6 +282,47 @@ TEST(MemberTableSoA, SweepTouchesOnlyExpiredTombstones) {
   EXPECT_EQ(table.find_slot(NodeId{3}), 0u);
   EXPECT_EQ(table.find_slot(NodeId{2}), 1u);
   EXPECT_EQ(table.find_slot(NodeId{1}), MemberTable::kNoSlot);
+}
+
+// NodeMap (the id index and the delta-sync cursor table) against std::map
+// under seeded insert/erase churn: lookups, size and the set of visited
+// cells agree after every operation, so backward-shift deletion never loses
+// or strands an entry.
+TEST(NodeMap, MatchesStdMapUnderInsertErase) {
+  struct Cell {
+    NodeId key;
+    std::int32_t count = 0;
+    std::uint64_t stamp = 0;
+  };
+  static_assert(sizeof(Cell) == 16);
+  NodeMap<Cell> map;
+  std::map<std::uint32_t, std::uint64_t> reference;
+  Rng rng(99);
+  for (std::uint64_t step = 1; step <= 5000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, 199));
+    if (rng.uniform_int(0, 99) < 55) {
+      Cell& cell = map.find_or_insert(NodeId{id});
+      ++cell.count;
+      cell.stamp = step;
+      reference[id] = step;
+    } else {
+      EXPECT_EQ(map.erase(NodeId{id}), reference.erase(id) == 1);
+    }
+    ASSERT_EQ(map.size(), reference.size());
+    for (std::uint32_t key = 0; key < 200; ++key) {
+      const Cell* cell = map.find(NodeId{key});
+      const auto it = reference.find(key);
+      ASSERT_EQ(cell != nullptr, it != reference.end()) << "step " << step;
+      if (cell != nullptr) {
+        EXPECT_EQ(cell->stamp, it->second);
+      }
+    }
+  }
+  std::map<std::uint32_t, std::uint64_t> visited;
+  map.for_each([&](const Cell& cell) {
+    EXPECT_TRUE(visited.emplace(cell.key.value, cell.stamp).second);
+  });
+  EXPECT_EQ(visited, reference);
 }
 
 }  // namespace

@@ -25,9 +25,10 @@ struct ViewFixture : ::testing::Test {
     std::uint64_t view_id = 0;
     bed->client().subscribe_view(
         std::move(query),
-        [&](std::uint64_t id, std::vector<ResultEntry> seeded) {
+        [&](std::uint64_t id, Result<std::vector<ResultEntry>> seeded) {
+          ASSERT_TRUE(seeded.ok());
           view_id = id;
-          initial = std::move(seeded);
+          initial = std::move(seeded).take();
         },
         [&](const ViewUpdate& update) { updates.push_back(update); });
     const SimTime deadline = bed->now() + 10 * kSecond;
@@ -180,6 +181,88 @@ TEST_F(ViewFixture, MultipleViewsIndependent) {
   bed->run_for(3 * kSecond);
   EXPECT_TRUE(ram_updates.empty());
   EXPECT_EQ(idle_updates.size(), 1u);
+}
+
+TEST_F(ViewFixture, MissingUpdateCallbackIsSkipped) {
+  // on_update is optional like on_ready: a subscriber that only wants the
+  // seed must not crash at the first membership change.
+  Query q;
+  q.where_at_least("ram_mb", 8192);
+  std::uint64_t view_id = 0;
+  bed->client().subscribe_view(
+      q, [&](std::uint64_t id, auto) { view_id = id; }, {});
+  bed->run_for(5 * kSecond);
+  ASSERT_NE(view_id, 0u);
+
+  agent::NodeManager* riser = nullptr;
+  for (std::size_t i = 0; i < bed->num_agents(); ++i) {
+    if (*bed->agent(i).resources().state().dynamic_value("ram_mb") < 8192) {
+      riser = &bed->agent(i);
+      break;
+    }
+  }
+  ASSERT_NE(riser, nullptr);
+  riser->resources().set_value("ram_mb", 9000);
+  bed->run_for(3 * kSecond);
+  EXPECT_EQ(bed->client().stats().view_updates, 1u);
+}
+
+TEST(Views, SeedDuringStoreOutageWithdrawsTheView) {
+  // A static-only view is seeded by a store scan. With every replica down
+  // the scan fails; the view must not be acked ready with whatever node
+  // events raced the seed — the subscriber sees Unavailable and the
+  // predicate is withdrawn.
+  harness::TestbedConfig config;
+  config.num_nodes = 12;
+  config.seed = 47;
+  config.agent.dynamics.frozen = true;
+  harness::Testbed bed(config);
+  for (std::size_t i = 0; i < bed.num_agents(); ++i) {
+    bed.agent(i).resources().set_static({{"arch", i % 3 == 0 ? "arm" : "x86"}});
+  }
+  bed.start();
+  ASSERT_TRUE(bed.settle());
+
+  Query q;
+  q.where_static("arch", "x86");
+  struct Ready {
+    bool fired = false;
+    std::uint64_t view_id = 0;
+    Result<std::vector<ResultEntry>> initial = std::vector<ResultEntry>{};
+  };
+  const auto subscribe = [&](Ready& ready, std::vector<ViewUpdate>& updates) {
+    bed.client().subscribe_view(
+        q,
+        [&ready](std::uint64_t id, Result<std::vector<ResultEntry>> seeded) {
+          ready.fired = true;
+          ready.view_id = id;
+          ready.initial = std::move(seeded);
+        },
+        [&updates](const ViewUpdate& update) { updates.push_back(update); });
+    bed.run_for(5 * kSecond);
+  };
+
+  // Store up: the seed finds the 8 x86 nodes.
+  Ready healthy;
+  std::vector<ViewUpdate> healthy_updates;
+  subscribe(healthy, healthy_updates);
+  ASSERT_TRUE(healthy.fired);
+  ASSERT_TRUE(healthy.initial.ok());
+  EXPECT_EQ(healthy.initial.value().size(), 8u);
+
+  for (int i = 0; i < bed.store().config().replicas; ++i) {
+    bed.store().set_replica_down(i, true);
+  }
+  Ready outage;
+  std::vector<ViewUpdate> outage_updates;
+  subscribe(outage, outage_updates);
+  ASSERT_TRUE(outage.fired);
+  ASSERT_FALSE(outage.initial.ok());
+  EXPECT_EQ(outage.initial.error().code, Errc::Unavailable);
+  EXPECT_TRUE(outage_updates.empty());
+  const ViewManager& views = bed.service().views();
+  EXPECT_EQ(views.view_count(), 1u);  // only the healthy view survives
+  EXPECT_TRUE(views.members_of(outage.view_id).empty());
 }
 
 TEST_F(ViewFixture, EventTriggerCostScalesWithChurnNotReads) {
